@@ -42,7 +42,16 @@ from .witnesses import (
 
 def _universe() -> Universe:
     cap = os.environ.get("HYPERSET_MAX_SETS")
-    return Universe(max_sets=int(cap) if cap else None)
+    if not cap:
+        return Universe()
+    try:
+        max_sets = int(cap)
+    except ValueError:
+        max_sets = -1
+    if max_sets < 0:
+        raise HypersetError(
+            f"HYPERSET_MAX_SETS must be a non-negative integer, not {cap!r}")
+    return Universe(max_sets=max_sets)
 
 
 def _read(path: str) -> str:

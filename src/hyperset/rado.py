@@ -14,7 +14,6 @@ procedure, and returns the partial isomorphism it built.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -114,26 +113,12 @@ class AckermannCoder:
         return s
 
 
-_coders: "weakref.WeakKeyDictionary[Universe, AckermannCoder]" = weakref.WeakKeyDictionary()
-
-
-def _coder_for(u: Universe) -> AckermannCoder:
-    coder = _coders.get(u)
-    if coder is None:
-        coder = AckermannCoder(u)
-        _coders[u] = coder
-    return coder
-
-
 def ackermann_code(u: Universe, s: SetId, bound: int | None = DEFAULT_CODE_BOUND) -> int:
-    coder = _coder_for(u)
-    if bound == coder.bound:
-        return coder.code(s)
     return AckermannCoder(u, bound).code(s)
 
 
 def ackermann_decode(u: Universe, n: int) -> SetId:
-    return _coder_for(u).decode(n)
+    return AckermannCoder(u).decode(n)
 
 
 def coding_correspondence(u: Universe, max_code: int):
@@ -143,7 +128,7 @@ def coding_correspondence(u: Universe, max_code: int):
     pairs); an empty list realizes the `precisely Rado's graph` claim
     at this scale.
     """
-    coder = _coder_for(u)
+    coder = AckermannCoder(u)
     sets = [coder.decode(n) for n in range(max_code + 1)]
     mismatches = []
     pairs = 0
@@ -333,7 +318,7 @@ def bit_graph_oracle() -> ExtensionOracle:
 
 def hf_membership_oracle(u: Universe) -> ExtensionOracle:
     """Undirected membership on well-founded sets, in decode order."""
-    coder = _coder_for(u)
+    coder = AckermannCoder(u)
 
     def label(v):
         try:

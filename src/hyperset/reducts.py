@@ -101,7 +101,7 @@ def undirect(u: Universe, s: Slice, mode: str):
         for e in u.elements(x):
             if e == x:
                 loops.append(x)
-            elif e in s.vertices:
+            else:
                 key = (e, x) if e < x else (x, e)
                 # count distinct directions: e in x here
                 pair_dirs[key] = pair_dirs.get(key, 0) | (1 if e < x else 2)

@@ -97,11 +97,23 @@ def structural_ranks(u: Universe, vertices) -> dict[SetId, int]:
 
 
 def numeral_of(u: Universe, s: SetId) -> int | None:
-    """n when ``s`` is the von Neumann numeral n, else None."""
+    """n when ``s`` is the von Neumann numeral n, else None.
+
+    Read-only: numerals past the store's numeral cache are probed for,
+    never built, and a numeral that is not stored cannot be ``s``.
+    """
     n = len(u.elements(s))
     if n > 4096 or not u.is_well_founded(s):
         return None
-    return n if u.vn(n) == s else None
+    if n < len(u._vn):
+        return n if u._vn[n] == s else None
+    numerals = list(u._vn)
+    while len(numerals) <= n:
+        nxt = u.find_set(numerals)
+        if nxt is None:
+            return None
+        numerals.append(nxt)
+    return n if numerals[n] == s else None
 
 
 # -- set serialization -------------------------------------------------------

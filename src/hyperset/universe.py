@@ -23,6 +23,7 @@ construction is quiescent.  Handles are plain ints and freely copyable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
@@ -194,8 +195,6 @@ class Universe:
 
     def __init__(self, max_sets: int | None = None):
         self._elems: list[tuple[SetId, ...]] = []
-        self._elem_sets: list[frozenset[SetId]] = []
-        self._parents: list[list[SetId]] = []
         self._wf: list[bool] = []
         self._colors: list[tuple[int, ...]] = []
         self._intern: dict[tuple[SetId, ...], SetId] = {}
@@ -223,15 +222,12 @@ class Universe:
         self._check(s)
         return self._elems[s]
 
-    def containers(self, s: SetId) -> tuple[SetId, ...]:
-        """All stored sets that have ``s`` as an element."""
-        self._check(s)
-        return tuple(self._parents[s])
-
     def is_member(self, a: SetId, b: SetId) -> bool:
         self._check(a)
         self._check(b)
-        return a in self._elem_sets[b]
+        elems = self._elems[b]
+        i = bisect_left(elems, a)
+        return i < len(elems) and elems[i] == a
 
     def is_well_founded(self, s: SetId) -> bool:
         """True iff no membership cycle is reachable from ``s``."""
@@ -252,10 +248,6 @@ class Universe:
             raise UniverseFull(f"universe cap of {self._max_sets} sets reached")
         sid = len(self._elems)
         self._elems.append(elems)
-        self._elem_sets.append(frozenset(elems))
-        self._parents.append([])
-        for e in self._elem_sets[sid]:
-            self._parents[e].append(sid)
         self._wf.append(wf)
         self._colors.append((sid,) * (COLOR_ROUNDS + 1))
         assert elems not in self._intern
@@ -265,36 +257,36 @@ class Universe:
     def _append_cyclic_batch(self, records, colors_list) -> None:
         """Append mutually referring non-well-founded records.
 
-        Element tuples may mention ids inside the batch itself, so all
-        records are created before any back references are wired up.
+        Element tuples may mention ids inside the batch itself; record i
+        becomes handle ``len(self) + i``.
         """
         base = len(self._elems)
         if self._max_sets is not None and base + len(records) > self._max_sets:
             raise UniverseFull(f"universe cap of {self._max_sets} sets reached")
-        for key, colors in zip(records, colors_list):
+        for sid, (key, colors) in enumerate(zip(records, colors_list), start=base):
             self._elems.append(key)
-            self._elem_sets.append(frozenset(key))
-            self._parents.append([])
             self._wf.append(False)
             self._colors.append(colors)
-        for i, key in enumerate(records):
-            sid = base + i
-            for e in self._elem_sets[sid]:
-                self._parents[e].append(sid)
             assert key not in self._intern
             self._intern[key] = sid
-            self._bucket.setdefault(colors_list[i][-1], []).append(sid)
+            self._bucket.setdefault(colors[-1], []).append(sid)
+
+    def find_set(self, members: Iterable[SetId]) -> SetId | None:
+        """Handle of the stored set with exactly the given members, or
+        None.  Read-only: unlike :meth:`make_set` it never grows the store.
+        """
+        key = tuple(sorted(set(members)))
+        for m in key:
+            self._check(m)
+        return self._intern.get(key)
 
     def make_set(self, members: Iterable[SetId]) -> SetId:
         """Canonical set with exactly the given members."""
-        ms = sorted(set(members))
-        for m in ms:
-            self._check(m)
-        key = tuple(ms)
-        hit = self._intern.get(key)
+        key = tuple(sorted(set(members)))
+        hit = self.find_set(key)
         if hit is not None:
             return hit
-        wf = all(self._wf[m] for m in ms)
+        wf = all(self._wf[m] for m in key)
         return self._append(key, wf)
 
     def union_of(self, sets: Iterable[SetId]) -> SetId:
@@ -302,7 +294,7 @@ class Universe:
         members: set[SetId] = set()
         for s in sets:
             self._check(s)
-            members.update(self._elem_sets[s])
+            members.update(self._elems[s])
         return self.make_set(members)
 
     def vn(self, n: int) -> SetId:

@@ -119,15 +119,25 @@ def picture_of(u, s):
     return Apg(children=children, root=0)
 
 
-def random_apg(rng: random.Random, max_nodes=12) -> Apg:
-    """Random accessible pointed graph: spanning edges plus noise."""
+def random_apg(rng: random.Random, max_nodes=12, store=()) -> Apg:
+    """Random accessible pointed graph: spanning edges plus noise.
+
+    With a non-empty ``store`` (a sequence of set handles), some nodes
+    also get store references drawn from it.
+    """
     n = rng.randint(1, max_nodes)
     children = {i: set() for i in range(n)}
     for i in range(1, n):
         children[rng.randrange(i)].add(i)
     for _ in range(rng.randint(0, 2 * n)):
         children[rng.randrange(n)].add(rng.randrange(n))
-    return Apg(children={i: frozenset(cs) for i, cs in children.items()}, root=0)
+    refs = {}
+    if store:
+        for i in range(n):
+            if rng.random() < 0.4:
+                refs[i] = frozenset(rng.sample(store, min(len(store), rng.randint(1, 2))))
+    return Apg(children={i: frozenset(cs) for i, cs in children.items()}, root=0,
+               store_refs=refs)
 
 
 def bisimilar_variant(rng: random.Random, g: Apg) -> Apg:

@@ -221,3 +221,13 @@ def test_universe_cap_env(tmp_path, capsys, monkeypatch):
     f.write_text("atom a = 9\nx = {a}\n")
     code, _, err = run(capsys, "solve", str(f))
     assert code == 1 and "cap" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_universe_cap_env_malformed(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("HYPERSET_MAX_SETS", value)
+    f = tmp_path / "pair.hs"
+    f.write_text(PAIR_TEXT)
+    code, out, err = run(capsys, "solve", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error: HYPERSET_MAX_SETS") and err.count("\n") == 1

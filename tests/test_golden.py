@@ -1,0 +1,36 @@
+"""Byte-for-byte CLI output on fixed inputs.
+
+Each case runs one CLI command on an input under ``tests/golden/`` and
+compares stdout with the committed ``.out`` file.  The expected files
+are CLI output, not hand-written: they change only when an output
+format changes on purpose, and never as a side effect of a store or
+lookup change, since canonical output depends only on the sets.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from hyperset.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "cycle40.solve": ["solve", "{dir}/cycle40.hs"],
+    "cycle40.multi": ["undirect", "{dir}/cycle40.hs", "--mode", "multi"],
+    "cycle40.loopy": ["undirect", "{dir}/cycle40.hs", "--mode", "loopy"],
+    "cycle40.double": ["undirect", "{dir}/cycle40.hs", "--mode", "double"],
+    "star5.seed30": ["star", "5", "--seed", "30"],
+    "pattern5.component": ["component", "{dir}/pattern5.txt"],
+    "witness.loopy": ["witness", "--loopy", "--u", "0,{2},{{3}}", "--v", "1,{4}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_byte_identical(name, capsys):
+    argv = [arg.replace("{dir}", str(GOLDEN)) for arg in CASES[name]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert captured.out == expected

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,8 @@ from hyperset.rado import (
     hf_membership_oracle,
     hyperset_loopy_oracle,
 )
+from hyperset.reducts import closure, undirect
+from hyperset.serialize import emit_graph
 from hyperset.universe import Apg, Universe
 
 OMEGA = Apg(children={0: frozenset({0})}, root=0)
@@ -83,6 +87,20 @@ def test_correspondence_sweep(u):
     assert nsets == 257
     assert pairs == 257 * 256 // 2
     assert mismatches == []
+
+
+def test_coding_keeps_no_universe_alive():
+    uni = Universe()
+    ref = weakref.ref(uni)
+    ackermann_code(uni, ackermann_decode(uni, 11))
+    coding_correspondence(uni, 16)
+    oracle = hf_membership_oracle(uni)
+    oracle.label(oracle.vertex(3))
+    sl = closure(uni, [ackermann_decode(uni, 5)])
+    emit_graph(uni, undirect(uni, sl, "loopy"), "loopy")
+    del uni, oracle, sl
+    gc.collect()
+    assert ref() is None
 
 
 # -- BIT witnesses ---------------------------------------------------------

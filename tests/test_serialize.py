@@ -40,6 +40,28 @@ def test_numeral_detection(u):
     assert numeral_of(u, u.vn(7)) == 7
     odd = u.make_set([u.vn(1)])
     assert numeral_of(u, odd) is None
+    # numerals stored without going through vn are found by probing
+    numerals = [u.vn(k) for k in range(8)]
+    while len(numerals) <= 10:
+        numerals.append(u.make_set(numerals))
+    size = len(u)
+    assert numeral_of(u, numerals[10]) == 10
+    assert numeral_of(u, u.make_set(numerals[1:])) is None
+    assert len(u) == size + 1
+
+
+def test_serialization_never_grows_the_store(u):
+    text = "atom a = {{0},{1},{2},{3},{4},{5},{6},{7}}\nx = {x,a}\n"
+    system = parse_system(u, text)
+    x = solve(u, system)["x"]
+    sl = closure(u, [x])
+    size = len(u)
+    assert normal_form(u, [("x", x)]) == (
+        "atom a0 = {1,{1},{2},{3},{4},{5},{6},{7}}\nx = {a0,x}\n")
+    serialize_set(u, x)
+    serialize_set(u, system.atoms["a"])
+    emit_graph(u, undirect(u, sl, "loopy"), "loopy")
+    assert len(u) == size
 
 
 def test_quine_atom_normal_form(u):

@@ -103,10 +103,80 @@ def test_wf_flag_matches_dfs_oracle_on_store(u):
         assert u.is_well_founded(s) == (not dfs_has_reachable_cycle(u, s))
 
 
-def test_reverse_index(u):
+def test_find_set_probes_without_growing(u):
     two = u.vn(2)
-    for e in u.elements(two):
-        assert two in u.containers(e)
+    size = len(u)
+    assert u.find_set([u.vn(1), u.vn(0)]) == two
+    assert u.find_set([two]) is None
+    assert u.find_set([]) == u.vn(0)
+    assert len(u) == size
+    with pytest.raises(UnknownHandle):
+        u.find_set([size + 5])
+
+
+def test_store_ref_into_quine_atom(u):
+    omega = u.canonicalize(OMEGA)
+    # x = {x, Ω} forces x = Ω
+    assert u.canonicalize_all({0: frozenset({0})}, {0: frozenset({omega})}) == {0: omega}
+
+
+def test_store_ref_into_stored_two_cycle(u):
+    a, b = u.vn(0), u.vn(1)
+    stored = u.canonicalize_all({0: frozenset({1}), 1: frozenset({0})},
+                                {0: frozenset({a}), 1: frozenset({b})})
+    x, y = stored[0], stored[1]
+    assert x != y
+    size = len(u)
+    # {a, y} is x, described through a reference to the stored y
+    assert u.canonicalize_all({0: frozenset()}, {0: frozenset({a, y})}) == {0: x}
+    # p0 = {p1, a}, p1 = {p0, b, x}: a cycle whose only solution is p0 = x
+    again = u.canonicalize_all({0: frozenset({1}), 1: frozenset({0})},
+                               {0: frozenset({a}), 1: frozenset({b, x})})
+    assert again == stored
+    assert len(u) == size
+
+
+def picture_with_refs(rng, uni, s):
+    """A picture of stored ``s`` in which some membership edges are
+    replaced by store references to the member, as (children, refs)."""
+    handles = [s]
+    seen = {s}
+    for x in handles:
+        for e in uni.elements(x):
+            if e not in seen:
+                seen.add(e)
+                handles.append(e)
+    idx = {x: i for i, x in enumerate(handles)}
+    children, refs = {}, {}
+    for x in handles:
+        kids, rs = set(), set()
+        for e in uni.elements(x):
+            (rs if rng.random() < 0.3 else kids).add(e)
+        children[idx[x]] = frozenset(idx[e] for e in kids)
+        refs[idx[x]] = frozenset(rs)
+    return children, refs
+
+
+def test_store_refs_match_naive_oracle_on_random_pictures():
+    rng = random.Random(23)
+    for _ in range(8):
+        uni = Universe()
+        uni.canonicalize(OMEGA)
+        uni.canonicalize(TWO_CYCLE)
+        uni.vn(3)
+        for trial in range(12):
+            store = list(uni.ids())
+            g1 = random_apg(rng, max_nodes=5, store=store)
+            g2 = random_apg(rng, max_nodes=5, store=store)
+            s1 = uni.canonicalize(g1)
+            assert apgs_bisimilar(uni, g1, picture_of(uni, s1))
+            expected = apgs_bisimilar(uni, g1, g2)
+            assert (s1 == uni.canonicalize(g2)) == expected, f"trial {trial}"
+            size = len(uni)
+            children, refs = picture_with_refs(rng, uni, s1)
+            assert uni.canonicalize_all(children, refs)[0] == s1
+            assert len(uni) == size
+        assert distinct_pairs_bisimilar(uni) == []
 
 
 def test_malformed_pictures_rejected(u):
