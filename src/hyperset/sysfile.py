@@ -88,21 +88,31 @@ class _Tokens:
 
 
 def _parse_literal(u: Universe, toks: _Tokens) -> SetId:
-    kind, value, line, col = toks.next()
-    if kind == "nat":
-        return u.vn(int(value))
-    if kind == "{":
-        members = []
-        if toks.peek()[0] != "}":
-            while True:
-                members.append(_parse_literal(u, toks))
-                if toks.peek()[0] != ",":
-                    break
+    # Iterative, so nesting depth is bounded by memory, not the stack:
+    # ``open_sets`` holds the members read so far of each unclosed brace.
+    open_sets: list[list[SetId]] = []
+    while True:
+        kind, value, line, col = toks.next()
+        if kind == "nat":
+            s = u.vn(int(value))
+        elif kind == "{":
+            if toks.peek()[0] != "}":
+                open_sets.append([])
+                continue
+            toks.next()
+            s = u.make_set([])
+        else:
+            raise ParseError(f"expected a set literal, found {value or 'end of input'!r}",
+                             line, col)
+        while open_sets:
+            open_sets[-1].append(s)
+            if toks.peek()[0] == ",":
                 toks.next()
-        toks.expect("}")
-        return u.make_set(members)
-    raise ParseError(f"expected a set literal, found {value or 'end of input'!r}",
-                     line, col)
+                break
+            toks.expect("}")
+            s = u.make_set(open_sets.pop())
+        else:
+            return s
 
 
 def parse_system(u: Universe, text: str) -> FlatSystem:

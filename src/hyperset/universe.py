@@ -337,6 +337,9 @@ class Universe:
                 if c not in node_set:
                     raise MalformedGraph(f"node {n} points at unknown node {c}")
             kids[n] = cs
+        for n in store_refs:
+            if n not in node_set:
+                raise MalformedGraph(f"store_refs mentions unknown node {n}")
         refs = {}
         for n in nodes:
             rs = sorted(set(store_refs.get(n, ())))

@@ -8,6 +8,7 @@ the fast implementations have something honest to be compared against.
 from collections import deque
 import random
 
+from hyperset.errors import ValidationError
 from hyperset.universe import Apg
 
 
@@ -78,6 +79,34 @@ def distinct_pairs_bisimilar(u):
     """Pairs of distinct stored handles the naive fixpoint still relates."""
     rel = naive_max_bisim(universe_graph(u))
     return sorted((a, b) for (a, b) in rel if a < b)
+
+
+def naive_structural_ranks(u, vertices):
+    """Total order on an element-closed set of canonical handles.
+
+    Iterated exact partition refinement; distinct handles are never
+    bisimilar, so the colors separate completely and the resulting
+    ranks depend only on the sets, not on construction history.
+
+    Up to n+1 full rounds, each re-signing every vertex; the reference
+    for ``hyperset.serialize.structural_ranks``.
+    """
+    ids = sorted(vertices)
+    vset = set(ids)
+    for s in ids:
+        for e in u.elements(s):
+            if e not in vset:
+                raise ValidationError("vertex set is not element-closed")
+    color = {s: 0 for s in ids}
+    for _ in range(len(ids) + 1):
+        sigs = {s: (color[s], tuple(sorted({color[e] for e in u.elements(s)})))
+                for s in ids}
+        order = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
+        fresh = {s: order[sigs[s]] for s in ids}
+        if fresh == color:
+            break
+        color = fresh
+    return color
 
 
 def dfs_has_reachable_cycle(u, s):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hyperset.cli import main
@@ -13,6 +18,18 @@ edge 2 3
 edge 3 0
 loop 0
 """
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_process(*argv):
+    """Run the CLI in a child interpreter, so a crash shows as a traceback
+    on stderr and not as an exception in the test."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "hyperset", *argv], capture_output=True,
+                          text=True, encoding="utf-8", timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def run(capsys, *argv):
@@ -231,3 +248,27 @@ def test_universe_cap_env_malformed(tmp_path, capsys, monkeypatch, value):
     code, out, err = run(capsys, "solve", str(f))
     assert code == 1 and out == ""
     assert err.startswith("error: HYPERSET_MAX_SETS") and err.count("\n") == 1
+
+
+DEEP = 1500  # well past the default recursion limit
+
+
+def test_witness_with_deeply_nested_literal():
+    deep = "{" * DEEP + "}" * DEEP
+    proc = run_process("witness", "--simple", "--u", deep, "--v", "1")
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "set z" and lines[2] == "end"
+    assert lines[1].count("{") == 1 + 3 + DEEP  # z = {{{{}}}, u0}
+
+
+def test_solve_and_undirect_with_deeply_nested_atom(tmp_path):
+    f = tmp_path / "deep.hs"
+    f.write_text("atom a = " + "{" * DEEP + "}" * DEEP + "\nx = {x,a}\n")
+    proc = run_process("solve", str(f))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "atom a0 = " + "{" * (DEEP - 2) + "1" + "}" * (DEEP - 2) + (
+        "\nx = {a0,x}\n")
+    proc = run_process("undirect", str(f), "--mode", "multi")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert sum(line.startswith("v ") for line in proc.stdout.splitlines()) == DEEP + 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hyperset.errors import ValidationError
@@ -16,6 +18,8 @@ from hyperset.serialize import (
 )
 from hyperset.sysfile import parse_system
 from hyperset.universe import Apg, Universe
+
+from oracles import naive_structural_ranks, random_apg
 
 OMEGA = Apg(children={0: frozenset({0})}, root=0)
 
@@ -186,3 +190,50 @@ def test_parse_graph_output_validates():
         parse_graph_output("v 1 x\n")
     with pytest.raises(ValidationError):
         parse_graph_output("nonsense\n")
+
+
+# -- structural_ranks against the naive refinement loop ------------------------
+
+
+def assert_ranks_match(u, vertices):
+    assert structural_ranks(u, vertices) == naive_structural_ranks(u, vertices)
+
+
+def test_structural_ranks_match_naive_on_random_pictures():
+    rng = random.Random(20)
+    u = Universe()
+    for _ in range(120):
+        store = list(u.ids()) if rng.random() < 0.5 else ()
+        root = u.canonicalize(random_apg(rng, max_nodes=rng.randint(2, 30), store=store))
+        assert_ranks_match(u, closure(u, [root]).vertices)
+    assert_ranks_match(u, list(u.ids()))
+
+
+def test_structural_ranks_match_naive_on_numerals(u):
+    for n in range(81):
+        assert_ranks_match(u, closure(u, [u.vn(n)]).vertices)
+
+
+def test_structural_ranks_match_naive_on_cycles_with_one_atom():
+    for n in range(1, 151):
+        u = Universe()  # one store per cycle: long cycles share lookup buckets
+        atom = u.make_set([u.vn(3)])
+        cycle = Apg(children={i: frozenset({(i + 1) % n}) for i in range(n)}, root=0,
+                    store_refs={0: frozenset({atom})})
+        assert_ranks_match(u, closure(u, [u.canonicalize(cycle)]).vertices)
+
+
+def test_structural_ranks_match_naive_on_chorded_cycles_with_wide_atoms():
+    rng = random.Random(7)
+    for _ in range(40):
+        u = Universe()
+        n = rng.randint(3, 90)
+        children = {i: {(i + 1) % n} for i in range(n)}
+        for _ in range(rng.randint(1, 4)):
+            children[rng.randrange(n)].add(rng.randrange(n))
+        refs = {}
+        for _ in range(rng.randint(1, 3)):
+            wide = u.make_set(u.vn(rng.randint(0, 25)) for _ in range(rng.randint(2, 9)))
+            refs.setdefault(rng.randrange(n), set()).add(wide)
+        root = u.canonicalize(Apg(children=children, root=0, store_refs=refs))
+        assert_ranks_match(u, closure(u, [root]).vertices)

@@ -188,6 +188,16 @@ def test_malformed_pictures_rejected(u):
         u.canonicalize(Apg(children={0: frozenset(), 1: frozenset()}, root=0))
 
 
+def test_canonicalize_all_rejects_store_refs_of_unknown_nodes(u):
+    e = u.make_set([])
+    size = len(u)
+    picture = Apg(children={0: frozenset()}, root=0, store_refs={7: frozenset({e})})
+    assert picture.validate() == ["store_refs mentions unknown node 7"]
+    with pytest.raises(MalformedGraph, match="^store_refs mentions unknown node 7$"):
+        u.canonicalize_all({0: frozenset()}, {7: frozenset({e})})
+    assert len(u) == size
+
+
 def test_unknown_handles_rejected(u):
     with pytest.raises(UnknownHandle):
         u.elements(0)
