@@ -149,7 +149,10 @@ def _oracle_from_spec(spec: str, default_seed: int):
     if spec == "hf":
         return hf_membership_oracle(_universe())
     if spec == "loopy" or spec.startswith("loopy:"):
-        seed = int(spec.split(":", 1)[1]) if ":" in spec else default_seed
+        try:
+            seed = int(spec.split(":", 1)[1]) if ":" in spec else default_seed
+        except ValueError:
+            raise HypersetError(f"oracle seed in {spec!r} must be an integer") from None
         return hyperset_loopy_oracle(_universe(), seed=seed)
     raise HypersetError(f"unknown oracle {spec!r}; use bit, hf, or loopy[:SEED]")
 

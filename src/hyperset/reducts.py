@@ -57,22 +57,21 @@ class MultiGraph:
     multiplicity: dict[tuple, int]
 
 
+def _walk(starts: Iterable[SetId], step) -> frozenset[SetId]:
+    """Everything reachable from ``starts`` by ``step``; starts go first."""
+    queue = deque(starts)
+    seen = set(queue)
+    while queue:
+        for y in step(queue.popleft()):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
+
+
 def closure(u: Universe, seeds: Iterable[SetId]) -> Slice:
     """Smallest element-closed vertex set containing the seeds."""
-    seen = set()
-    queue = deque()
-    for s in seeds:
-        u.elements(s)  # validates the handle
-        if s not in seen:
-            seen.add(s)
-            queue.append(s)
-    while queue:
-        x = queue.popleft()
-        for e in u.elements(x):
-            if e not in seen:
-                seen.add(e)
-                queue.append(e)
-    return Slice(vertices=frozenset(seen))
+    return Slice(vertices=_walk(seeds, u.elements))  # elements() checks each seed
 
 
 def _check_closed(u: Universe, s: Slice) -> None:
@@ -125,6 +124,11 @@ def has_loop(u: Universe, x: SetId) -> bool:
     return u.is_member(x, x)
 
 
+def _double_neighbors(u: Universe, x: SetId) -> list[SetId]:
+    """Sets y != x with x in y and y in x; each is an element of x."""
+    return [y for y in u.elements(x) if y != x and u.is_member(x, y)]
+
+
 def double_degree(u: Universe, s: Slice, x: SetId) -> int:
     """Number of distinct y != x in the slice with x in y and y in x.
 
@@ -134,22 +138,13 @@ def double_degree(u: Universe, s: Slice, x: SetId) -> int:
     """
     if x not in s.vertices:
         raise ValidationError(f"{x} is not a vertex of the slice")
-    return sum(1 for y in u.elements(x)
-               if y != x and y in s.vertices and u.is_member(x, y))
+    return sum(1 for y in _double_neighbors(u, x) if y in s.vertices)
 
 
 def double_component(u: Universe, s: Slice, start: SetId) -> frozenset[SetId]:
-    """Connected component of ``start`` in the double_only reduct."""
-    graph = undirect(u, s, "double_only")
-    adj = graph.adjacency()
-    if start not in adj:
+    """Connected component of ``start`` in the double_only reduct, found by
+    a walk that reads only the elements of the vertices it visits."""
+    _check_closed(u, s)
+    if start not in s.vertices:
         raise ValidationError(f"{start} is not a vertex of the slice")
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    return _walk([start], lambda x: _double_neighbors(u, x))

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolation, PreconditionError, ValidationError
+# perfbench/spans.py patches closure, undirect, double_component and solve
+# on this module by name, so they stay imported even where unused.
 from .flat import FlatSystem, solve
 from .reducts import (
     LoopyGraph,
@@ -159,8 +161,8 @@ def star(u: Universe, n: int, atom_seed: int = 0) -> tuple[SetId, list[SetId]]:
     Solves y = {x_0..x_{n-1}}, x_i = {y, a_i} with the distinct
     well-founded atoms a_i = vn(atom_seed + i).
     """
-    if n < 0:
-        raise PreconditionError("n must be a natural number")
+    if n < 0 or atom_seed < 0:
+        raise PreconditionError("n and atom_seed must be natural numbers")
     atoms = {f"a{i}": u.vn(atom_seed + i) for i in range(n)}
     equations = [("y", frozenset(f"x{i}" for i in range(n)))]
     for i in range(n):
@@ -246,6 +248,8 @@ def component(u: Universe, g: PatternGraph, atom_seed: int = 0) -> list[SetId]:
     """
     if not g.connected():
         raise PreconditionError("pattern must be connected")
+    if atom_seed < 0:
+        raise PreconditionError("atom_seed must be a natural number")
     atoms = {f"a{i}": u.vn(atom_seed + i) for i in range(g.size)}
     equations = []
     for i in range(g.size):
@@ -260,17 +264,11 @@ def component(u: Universe, g: PatternGraph, atom_seed: int = 0) -> list[SetId]:
     problems = []
     if len(set(ys)) != g.size:
         problems.append("solution sets are not pairwise distinct")
-    sl = closure(u, ys)
-    comp = double_component(u, sl, ys[0])
-    if comp != set(ys):
+    graph = double_component_graph(u, ys)
+    if graph.vertices != set(ys):
         problems.append("double-edge component differs from the solution sets")
-    built = undirect(u, sl, "double_only")
-    induced = frozenset(e for e in built.edges
-                        if e[0] in comp and e[1] in comp)
-    image = frozenset(
-        tuple(sorted((ys[i], ys[j]))) for i, j in g.edges) | frozenset(
-        (ys[i], ys[i]) for i in g.loops)
-    if induced != image:
+    image = frozenset(tuple(sorted((ys[i], ys[j]))) for i, j in g.to_loopy_graph().edges)
+    if graph.edges != image:
         problems.append("double edges do not match the pattern")
     if problems:
         raise ContractViolation("; ".join(problems))
@@ -279,12 +277,11 @@ def component(u: Universe, g: PatternGraph, atom_seed: int = 0) -> list[SetId]:
 
 def double_component_graph(u: Universe, members) -> LoopyGraph:
     """Double-edge component of ``members[0]`` as a standalone graph."""
-    sl = closure(u, members)
-    built = undirect(u, sl, "double_only")
-    comp = double_component(u, sl, members[0])
-    return LoopyGraph(vertices=frozenset(comp),
-                      edges=frozenset(e for e in built.edges
-                                      if e[0] in comp and e[1] in comp))
+    comp = double_component(u, closure(u, members), members[0])
+    # y == x is a loop; a double edge is listed from its smaller end
+    return LoopyGraph(vertices=comp, edges=frozenset(
+        (x, y) for x in comp for y in u.elements(x)
+        if y == x or (x < y and u.is_member(x, y))))
 
 
 def loopy_iso(ga: LoopyGraph, gb: LoopyGraph):

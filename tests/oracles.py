@@ -9,6 +9,7 @@ from collections import deque
 import random
 
 from hyperset.errors import ValidationError
+from hyperset.reducts import LoopyGraph, undirect
 from hyperset.universe import Apg
 
 
@@ -107,6 +108,33 @@ def naive_structural_ranks(u, vertices):
             break
         color = fresh
     return color
+
+
+def naive_double_component(u, s, start):
+    """Double-edge component of ``start`` in a slice, with its edges.
+
+    Builds the whole double_only reduct of the slice, walks its
+    adjacency breadth-first from ``start``, then keeps the reduct's
+    edges and loops inside the component; the reference for
+    ``hyperset.reducts.double_component`` and
+    ``hyperset.witnesses.double_component_graph``.
+    """
+    graph = undirect(u, s, "double_only")
+    adj = graph.adjacency()
+    if start not in adj:
+        raise ValidationError(f"{start} is not a vertex of the slice")
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    comp = frozenset(seen)
+    return LoopyGraph(vertices=comp,
+                      edges=frozenset(e for e in graph.edges
+                                      if e[0] in comp and e[1] in comp))
 
 
 def dfs_has_reachable_cycle(u, s):

@@ -232,6 +232,21 @@ def test_census(capsys):
     assert lines[-1] == "census distinct=6"
 
 
+@pytest.mark.parametrize("argv", [
+    ["game", "--rounds", "3", "--left", "loopy:abc", "--right", "bit"],
+    ["game", "--rounds", "3", "--left", "loopy:", "--right", "bit"],
+    ["star", "2", "--seed", "-5"],
+    ["component", "{pattern}", "--seed", "-5"],
+    ["census", "--max-n", "3", "--seed", "-5"],
+], ids=["game-loopy-abc", "game-loopy-empty", "star", "component", "census"])
+def test_bad_seed_is_one_line_error(tmp_path, argv):
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(FOUR_CYCLE)
+    proc = run_process(*(arg.replace("{pattern}", str(pattern)) for arg in argv))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_universe_cap_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HYPERSET_MAX_SETS", "3")
     f = tmp_path / "big.hs"

@@ -28,6 +28,8 @@ CASES = {
     "star3.seed120": ["star", "3", "--seed", "120"],
     "pattern5.component": ["component", "{dir}/pattern5.txt"],
     "witness.loopy": ["witness", "--loopy", "--u", "0,{2},{{3}}", "--v", "1,{4}"],
+    "census6.seed40": ["census", "--max-n", "6", "--seed", "40"],
+    "game6.loopy1.loopy2": ["game", "--rounds", "6", "--left", "loopy:1", "--right", "loopy:2"],
 }
 
 

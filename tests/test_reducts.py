@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hyperset.errors import ValidationError
+from hyperset.errors import UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
 from hyperset.reducts import (
     LoopyGraph,
@@ -15,6 +15,8 @@ from hyperset.reducts import (
     undirect,
 )
 from hyperset.universe import Apg
+from hyperset.witnesses import double_component_graph
+from oracles import naive_double_component, random_apg
 
 OMEGA = Apg(children={0: frozenset({0})}, root=0)
 
@@ -34,6 +36,9 @@ def test_closure_examples(u):
     omega = u.canonicalize(OMEGA)
     assert closure(u, [omega]).vertices == {omega}
     assert closure(u, [u.vn(2)]).vertices == {u.vn(0), u.vn(1), u.vn(2)}
+    assert closure(u, iter([u.vn(1), u.vn(1)])).vertices == {u.vn(0), u.vn(1)}
+    with pytest.raises(UnknownHandle, match="no such set handle: 999"):
+        closure(u, [u.vn(1), 999, 1000])
 
 
 def test_loopy_reduct_of_vn1(u):
@@ -67,6 +72,8 @@ def test_non_closed_slice_rejected(u):
         undirect(u, Slice(vertices=frozenset({x})), "loopy")
     with pytest.raises(ValidationError):
         undirect(u, closure(u, [x]), "bogus")
+    with pytest.raises(ValidationError, match="not element-closed"):
+        double_component(u, Slice(vertices=frozenset({x})), x)
 
 
 def test_has_loop_examples(u):
@@ -99,6 +106,25 @@ def test_double_component_of_membership_pair(u):
     s = closure(u, [x])
     assert double_component(u, s, x) == {x, y}
     assert double_component(u, s, u.vn(0)) == {u.vn(0)}
+    with pytest.raises(ValidationError, match="not a vertex"):
+        double_component(u, s, u.vn(5))
+
+
+def test_double_component_matches_naive_oracle_on_random_pictures(u):
+    rng = random.Random(31)
+    roots = [u.canonicalize(random_apg(rng, max_nodes=rng.randint(2, 14)))
+             for _ in range(80)]
+    s = closure(u, roots)
+    sizes, loops = set(), 0
+    for x in sorted(s.vertices):
+        expected = naive_double_component(u, s, x)
+        assert double_component(u, s, x) == expected.vertices
+        assert double_component_graph(u, [x]) == naive_double_component(
+            u, closure(u, [x]), x)
+        sizes.add(len(expected.vertices))
+        loops += has_loop(u, x)
+    # the pictures exercise loops and components of several sizes
+    assert loops and len(sizes) >= 3, (loops, sizes)
 
 
 def test_absoluteness_under_universe_growth(u):

@@ -2,20 +2,30 @@ import random
 
 import pytest
 
+from hyperset import reducts, witnesses
 from hyperset.errors import ContractViolation, PreconditionError
 from hyperset.flat import FlatSystem, solve
-from hyperset.reducts import LoopyGraph, closure, double_degree, has_loop, undirect
+from hyperset.reducts import (
+    LoopyGraph,
+    closure,
+    double_component,
+    double_degree,
+    has_loop,
+    undirect,
+)
 from hyperset.universe import Apg
 from hyperset.witnesses import (
     PatternGraph,
     arp_witness_loopy,
     arp_witness_simple,
     component,
+    double_component_graph,
     loopy_iso,
     star,
     verify_loopy_witness,
     verify_simple_witness,
 )
+from oracles import naive_double_component
 
 OMEGA = Apg(children={0: frozenset({0})}, root=0)
 
@@ -228,6 +238,47 @@ def test_component_rejects_disconnected_pattern(u):
     bad = PatternGraph(size=2, edges=frozenset(), loops=frozenset({0, 1}))
     with pytest.raises(PreconditionError):
         component(u, bad)
+
+
+def test_component_graphs_match_naive_oracle(u):
+    built = [component(u, four_cycle_with_loop(), atom_seed=3)]
+    tri = PatternGraph(size=3, edges=frozenset({(0, 1), (1, 2), (0, 2)}),
+                       loops=frozenset({0, 2}))
+    built.append(component(u, tri, atom_seed=40))
+    path = PatternGraph(size=5, edges=frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}),
+                        loops=frozenset({4}))
+    built.append(component(u, path, atom_seed=7))
+    y, xs = star(u, 4, atom_seed=11)
+    built.append([y] + xs)
+    s = closure(u, [v for ys in built for v in ys])
+    assert any(has_loop(u, v) for v in s.vertices)
+    for x in sorted(s.vertices):
+        expected = naive_double_component(u, s, x)
+        assert double_component(u, s, x) == expected.vertices
+        assert double_component_graph(u, [x]) == naive_double_component(
+            u, closure(u, [x]), x)
+    for ys in built:
+        assert double_component_graph(u, ys).vertices == set(ys)
+
+
+def test_double_edge_walk_builds_no_reduct(u, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-slice reduct built")
+
+    monkeypatch.setattr(reducts, "undirect", refuse)
+    monkeypatch.setattr(witnesses, "undirect", refuse)
+    y, xs = star(u, 3, atom_seed=2)
+    ys = component(u, four_cycle_with_loop(), atom_seed=9)
+    assert double_component(u, closure(u, [y]), y) == {y, *xs}
+    graph = double_component_graph(u, ys)
+    assert graph.vertices == set(ys) and graph.loops() == {ys[0]}
+
+
+def test_constructions_reject_negative_atom_seed(u):
+    with pytest.raises(PreconditionError, match="atom_seed"):
+        star(u, 2, atom_seed=-5)
+    with pytest.raises(PreconditionError, match="atom_seed"):
+        component(u, four_cycle_with_loop(), atom_seed=-1)
 
 
 # -- isomorphism oracle ----------------------------------------------------
