@@ -26,7 +26,7 @@ from .rado import (
     hf_membership_oracle,
     hyperset_loopy_oracle,
 )
-from .reducts import closure, double_degree, has_loop, undirect
+from .reducts import _double_neighbors, closure, has_loop, undirect
 from .serialize import emit_graph, normal_form, serialize_set
 from .sysfile import parse_pattern, parse_set_literal, parse_system, split_literals
 from .universe import Universe
@@ -175,7 +175,7 @@ def cmd_census(args) -> int:
     degrees = []
     for n in range(args.max_n + 1):
         y, _ = star(u, n, atom_seed=args.seed)
-        d = double_degree(u, closure(u, [y]), y)
+        d = len(_double_neighbors(u, y))
         degrees.append(d)
         loop = "true" if has_loop(u, y) else "false"
         sys.stdout.write(f"census n={n} double_degree={d} loop={loop}\n")

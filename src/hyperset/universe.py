@@ -57,20 +57,9 @@ class Apg:
         self.store_refs = {n: frozenset(rs) for n, rs in self.store_refs.items()}
 
     def validate(self) -> list[str]:
-        problems = []
-        nodes = set(self.children)
-        if not nodes:
-            problems.append("graph has no nodes")
-            return problems
-        if self.root not in nodes:
-            problems.append(f"root {self.root} is not a node")
-        for n, cs in self.children.items():
-            for c in cs:
-                if c not in nodes:
-                    problems.append(f"node {n} points at unknown node {c}")
-        for n in self.store_refs:
-            if n not in nodes:
-                problems.append(f"store_refs mentions unknown node {n}")
+        problems = _shape_problems(self.children, self.store_refs)
+        if self.children and self.root not in self.children:
+            problems.insert(0, f"root {self.root} is not a node")
         if problems:
             return problems
         seen = {self.root}
@@ -81,9 +70,22 @@ class Apg:
                 if c not in seen:
                     seen.add(c)
                     queue.append(c)
-        for n in sorted(nodes - seen):
+        for n in sorted(set(self.children) - seen):
             problems.append(f"node {n} is unreachable from the root")
         return problems
+
+
+def _shape_problems(children: Mapping, store_refs: Mapping) -> list[str]:
+    """Ways in which ``children``/``store_refs`` fail to be a graph at all:
+    no nodes, or an edge or a store ref on a node that is not there."""
+    if not children:
+        return ["graph has no nodes"]
+    problems = [f"node {n} points at unknown node {c}"
+                for n in sorted(children) for c in sorted(children[n])
+                if c not in children]
+    problems += [f"store_refs mentions unknown node {n}"
+                 for n in sorted(store_refs) if n not in children]
+    return problems
 
 
 def _refine(nodes, kids, init_key):
@@ -271,23 +273,26 @@ class Universe:
             self._intern[key] = sid
             self._bucket.setdefault(colors[-1], []).append(sid)
 
+    def _key(self, members: Iterable[SetId]) -> tuple[SetId, ...]:
+        """Sorted, duplicate-free element tuple; every member is checked."""
+        key = tuple(sorted(set(members)))
+        for m in key:
+            self._check(m)
+        return key
+
     def find_set(self, members: Iterable[SetId]) -> SetId | None:
         """Handle of the stored set with exactly the given members, or
         None.  Read-only: unlike :meth:`make_set` it never grows the store.
         """
-        key = tuple(sorted(set(members)))
-        for m in key:
-            self._check(m)
-        return self._intern.get(key)
+        return self._intern.get(self._key(members))
 
     def make_set(self, members: Iterable[SetId]) -> SetId:
         """Canonical set with exactly the given members."""
-        key = tuple(sorted(set(members)))
-        hit = self.find_set(key)
-        if hit is not None:
-            return hit
-        wf = all(self._wf[m] for m in key)
-        return self._append(key, wf)
+        key = self._key(members)
+        sid = self._intern.get(key)
+        if sid is None:
+            sid = self._append(key, all(self._wf[m] for m in key))
+        return sid
 
     def union_of(self, sets: Iterable[SetId]) -> SetId:
         """Union of the element lists of the given sets."""
@@ -298,11 +303,19 @@ class Universe:
         return self.make_set(members)
 
     def vn(self, n: int) -> SetId:
-        """Von Neumann natural: 0 is the empty set, n+1 = n U {n}."""
+        """Von Neumann natural: 0 is the empty set, n+1 = n U {n}.
+
+        ``_vn`` caches vn(0), vn(1), ... in order and is strictly
+        increasing: a stored well-founded set always comes after its
+        elements, so vn(k+1) > vn(k).  The cache is therefore the sorted
+        element tuple of the next numeral, which is interned directly.
+        """
         if n < 0:
             raise ValueError("naturals only")
         while len(self._vn) <= n:
-            self._vn.append(self.make_set(self._vn))
+            key = tuple(self._vn)
+            sid = self._intern.get(key)
+            self._vn.append(self._append(key, True) if sid is None else sid)
         return self._vn[n]
 
     def canonicalize(self, g: Apg) -> SetId:
@@ -326,20 +339,11 @@ class Universe:
         for solving systems of equations.
         """
         store_refs = store_refs or {}
+        problems = _shape_problems(children, store_refs)
+        if problems:
+            raise MalformedGraph(problems[0])
         nodes = sorted(children)
-        if not nodes:
-            raise MalformedGraph("graph has no nodes")
-        node_set = set(nodes)
-        kids = {}
-        for n in nodes:
-            cs = sorted(set(children[n]))
-            for c in cs:
-                if c not in node_set:
-                    raise MalformedGraph(f"node {n} points at unknown node {c}")
-            kids[n] = cs
-        for n in store_refs:
-            if n not in node_set:
-                raise MalformedGraph(f"store_refs mentions unknown node {n}")
+        kids = {n: sorted(set(children[n])) for n in nodes}
         refs = {}
         for n in nodes:
             rs = sorted(set(store_refs.get(n, ())))

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 from .errors import ContractViolation, PreconditionError, ValidationError
 # perfbench/spans.py patches closure, undirect, double_component and solve
-# on this module by name, so they stay imported even where unused.
+# on this module by name; the first three are imported only for that.
 from .flat import FlatSystem, solve
 from .reducts import (
     LoopyGraph,
+    _double_neighbors,
+    _walk,
     closure,
     double_component,
-    double_degree,
     has_loop,
     undirect,
 )
@@ -170,8 +171,7 @@ def star(u: Universe, n: int, atom_seed: int = 0) -> tuple[SetId, list[SetId]]:
     sol = solve(u, FlatSystem(atoms=atoms, equations=equations))
     y = sol["y"]
     xs = [sol[f"x{i}"] for i in range(n)]
-    sl = closure(u, [y])
-    if len(set(xs)) != n or has_loop(u, y) or double_degree(u, sl, y) != n:
+    if len(set(xs)) != n or has_loop(u, y) or len(_double_neighbors(u, y)) != n:
         raise ContractViolation("star construction failed its post-conditions")
     return y, xs
 
@@ -276,8 +276,15 @@ def component(u: Universe, g: PatternGraph, atom_seed: int = 0) -> list[SetId]:
 
 
 def double_component_graph(u: Universe, members) -> LoopyGraph:
-    """Double-edge component of ``members[0]`` as a standalone graph."""
-    comp = double_component(u, closure(u, members), members[0])
+    """Double-edge component of ``members[0]`` as a standalone graph.
+
+    Double neighbours are elements, so the walk stays inside the
+    closure of ``members`` without building it; every member is checked
+    to be a handle.
+    """
+    for m in members:
+        u.elements(m)
+    comp = _walk([members[0]], lambda x: _double_neighbors(u, x))
     # y == x is a loop; a double edge is listed from its smaller end
     return LoopyGraph(vertices=comp, edges=frozenset(
         (x, y) for x in comp for y in u.elements(x)

@@ -220,3 +220,33 @@ def bisimilar_variant(rng: random.Random, g: Apg) -> Apg:
     perm = {old: new for new, old in enumerate(labels)}
     out = {perm[x]: frozenset(perm[c] for c in cs) for x, cs in children.items()}
     return Apg(children=out, root=perm[root])
+
+
+def parse_graph_output(text: str):
+    """Inverse of :func:`hyperset.serialize.emit_graph` used for machine checks.
+
+    Returns (vertices, edges): vertices as a list of (index, label,
+    loop flag) and edges as a list of (i, j, multiplicity).
+    """
+    verts = []
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "v" and len(parts) in (3, 4):
+            if len(parts) == 4 and parts[3] != "loop":
+                raise ValidationError(f"line {lineno}: bad vertex flag {parts[3]!r}")
+            verts.append((int(parts[1]), parts[2], len(parts) == 4))
+        elif parts[0] == "e" and len(parts) == 4:
+            i, j, m = int(parts[1]), int(parts[2]), int(parts[3])
+            if m not in (1, 2):
+                raise ValidationError(f"line {lineno}: multiplicity must be 1 or 2")
+            edges.append((i, j, m))
+        else:
+            raise ValidationError(f"line {lineno}: unrecognized graph line {line!r}")
+    expected = list(range(len(verts)))
+    if [i for i, _, _ in verts] != expected:
+        raise ValidationError("vertex indices must be consecutive from 0")
+    return verts, edges

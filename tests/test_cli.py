@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from hyperset.cli import main
-from hyperset.serialize import parse_graph_output
+
+from oracles import parse_graph_output
 
 PAIR_TEXT = "atom a = 0\natom b = 1\nx = {y,a}\ny = {x,b}\n"
 

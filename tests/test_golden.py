@@ -8,6 +8,9 @@ lookup change, since canonical output depends only on the sets.
 ``cycle200`` and ``star3.seed120`` need many refinement rounds to
 order their non-well-founded vertices (about 100 for the 200-node cycle
 with two chords; the star's closure holds the numerals up to 122).
+``star4.seed250`` and ``pattern5.seed200.component`` use atom seeds at
+the top of the benchmark's ``star``/``component`` range, so their atoms
+are the numerals vn(250..253) and vn(200..204).
 """
 
 from pathlib import Path
@@ -26,7 +29,9 @@ CASES = {
     "cycle200.multi": ["undirect", "{dir}/cycle200.hs", "--mode", "multi"],
     "star5.seed30": ["star", "5", "--seed", "30"],
     "star3.seed120": ["star", "3", "--seed", "120"],
+    "star4.seed250": ["star", "4", "--seed", "250"],
     "pattern5.component": ["component", "{dir}/pattern5.txt"],
+    "pattern5.seed200.component": ["component", "{dir}/pattern5.txt", "--seed", "200"],
     "witness.loopy": ["witness", "--loopy", "--u", "0,{2},{{3}}", "--v", "1,{4}"],
     "census6.seed40": ["census", "--max-n", "6", "--seed", "40"],
     "game6.loopy1.loopy2": ["game", "--rounds", "6", "--left", "loopy:1", "--right", "loopy:2"],

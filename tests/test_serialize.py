@@ -10,7 +10,6 @@ from hyperset.serialize import (
     format_system,
     normal_form,
     numeral_of,
-    parse_graph_output,
     serialize_set,
     structural_ranks,
     wf_code_index,
@@ -19,7 +18,7 @@ from hyperset.serialize import (
 from hyperset.sysfile import parse_system
 from hyperset.universe import Apg, Universe
 
-from oracles import naive_structural_ranks, random_apg
+from oracles import naive_structural_ranks, parse_graph_output, random_apg
 
 OMEGA = Apg(children={0: frozenset({0})}, root=0)
 

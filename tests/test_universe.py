@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperset.errors import MalformedGraph, UniverseFull, UnknownHandle
+from hyperset.flat import FlatSystem, solve
+from hyperset.sysfile import parse_set_literal
 from hyperset.universe import Apg, Universe
 
 from oracles import (
@@ -66,6 +68,49 @@ def test_von_neumann_naturals(u):
     assert u.vn(1) == u.make_set([u.vn(0)])
     assert len(u.elements(u.vn(3))) == 3
     assert u.is_well_founded(u.vn(5))
+
+
+def make_set_numerals(u, n):
+    """vn(0..n) built the general way, each one through make_set."""
+    nums = []
+    while len(nums) <= n:
+        nums.append(u.make_set(nums))
+    return nums
+
+
+def no_prefix(u):
+    pass
+
+
+def literal_prefix(u):
+    parse_set_literal(u, "{{{}}, {{}, {{}}}, {{}, {{}}, {{}, {{}}}}}")
+
+
+def solved_prefix(u):
+    u.canonicalize(OMEGA)
+    solve(u, FlatSystem(equations=[
+        ("n0", frozenset()), ("n1", frozenset({"n0"})),
+        ("n2", frozenset({"n0", "n1"})), ("x", frozenset({"x", "n2"}))]))
+
+
+def pictured_prefix(u):
+    children = {k: frozenset(range(k)) for k in range(6)}
+    children[6] = frozenset({6, 3})
+    u.canonicalize_all(children)
+
+
+@pytest.mark.parametrize("prefix", [no_prefix, literal_prefix, solved_prefix,
+                                    pictured_prefix])
+def test_vn_matches_make_set_numerals(prefix):
+    new, old = Universe(), Universe()
+    prefix(new)
+    prefix(old)
+    expected = make_set_numerals(old, 300)
+    assert new.vn(300) == expected[300]
+    assert [new.vn(k) for k in range(301)] == expected
+    assert [new.elements(s) for s in expected] == [old.elements(s) for s in expected]
+    assert all(new.is_well_founded(s) for s in expected)
+    assert len(new) == len(old)
 
 
 def test_make_set_around_quine_atom(u):
@@ -213,6 +258,12 @@ def test_universe_cap():
     small.vn(1)
     with pytest.raises(UniverseFull):
         small.vn(2)
+    small = Universe(max_sets=3)
+    with pytest.raises(UniverseFull):
+        small.vn(5)  # mints vn(0..2), then hits the cap
+    assert len(small) == 3
+    assert small.vn(1) == 1 and small.elements(small.vn(2)) == (0, 1)
+    assert len(small) == 3
 
 
 def test_append_only_element_lists(u):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from hyperset import reducts, witnesses
-from hyperset.errors import ContractViolation, PreconditionError
+from hyperset import cli, reducts, witnesses
+from hyperset.errors import ContractViolation, PreconditionError, UnknownHandle
 from hyperset.flat import FlatSystem, solve
 from hyperset.reducts import (
     LoopyGraph,
@@ -272,6 +272,33 @@ def test_double_edge_walk_builds_no_reduct(u, monkeypatch):
     assert double_component(u, closure(u, [y]), y) == {y, *xs}
     graph = double_component_graph(u, ys)
     assert graph.vertices == set(ys) and graph.loops() == {ys[0]}
+
+
+def test_double_edge_constructions_build_no_closure(u, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole closure built or scanned")
+
+    for module in (reducts, witnesses, cli):
+        monkeypatch.setattr(module, "closure", refuse)
+    monkeypatch.setattr(reducts, "_check_closed", refuse)
+    y, xs = star(u, 3, atom_seed=2)
+    ys = component(u, four_cycle_with_loop(), atom_seed=9)
+    assert double_component_graph(u, [y]).vertices == {y, *xs}
+    assert double_component_graph(u, ys).vertices == set(ys)
+    assert cli.main(["census", "--max-n", "4", "--seed", "200"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"census n={n} double_degree={n} loop=false" for n in range(5)] + [
+        "census distinct=5"]
+    assert cli.main(["game", "--rounds", "4", "--left", "loopy:1", "--right", "loopy:2"]) == 0
+    assert capsys.readouterr().out.endswith("game ok size=4\n")
+
+
+def test_double_component_graph_rejects_bad_members(u):
+    y, _ = star(u, 2)
+    with pytest.raises(UnknownHandle):
+        double_component_graph(u, [y, 999])
+    with pytest.raises(UnknownHandle):
+        double_component_graph(u, [999, y])
 
 
 def test_constructions_reject_negative_atom_seed(u):
