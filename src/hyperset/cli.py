@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .errors import HypersetError
+from .errors import HypersetError, PreconditionError
 from .flat import solve
 from .rado import (
     back_and_forth,
@@ -171,6 +171,8 @@ def cmd_game(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.max_n < 0:
+        raise PreconditionError("--max-n must be a natural number")
     u = _universe()
     degrees = []
     for n in range(args.max_n + 1):
@@ -244,10 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except HypersetError as exc:
+    except (OSError, UnicodeDecodeError, HypersetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -128,6 +128,8 @@ def coding_correspondence(u: Universe, max_code: int):
     pairs); an empty list realizes the `precisely Rado's graph` claim
     at this scale.
     """
+    if max_code < 0:
+        raise PreconditionError("max_code must be a natural number")
     coder = AckermannCoder(u)
     sets = [coder.decode(n) for n in range(max_code + 1)]
     mismatches = []
@@ -229,6 +231,8 @@ def back_and_forth(oa: ExtensionOracle, ob: ExtensionOracle, rounds: int) -> Par
     vertex's matched neighbors, V the images of the matched
     non-neighbors; in loopy mode the witness is picked by loop status.
     """
+    if rounds < 0:
+        raise PreconditionError("rounds must be a natural number")
     if oa.kind != ob.kind:
         raise PreconditionError(
             f"oracles disagree on loop mode: {oa.kind} vs {ob.kind}")

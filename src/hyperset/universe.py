@@ -7,14 +7,16 @@ every picture it has absorbed, so handle equality coincides with
 extensional set equality.  The store is append-only: the element list
 of an existing handle never changes.
 
-Insertion is merge-and-collapse.  A new picture is first collapsed
-internally by partition refinement, then its strongly connected pieces
-are resolved against the store bottom-up: acyclic classes through an
-interning table keyed on element lists, cyclic clusters by refining
-them jointly with the (color-filtered) non-well-founded region of the
-store.  The net effect is the coarsest stable partition of the combined
-store-plus-picture graph, without touching the parts of the store that
-cannot possibly be involved.
+Insertion is merge-and-collapse.  The strongly connected pieces of a
+new picture are resolved against the store bottom-up.  An acyclic node,
+whose children are all resolved by then, goes through an interning
+table keyed on element lists.  A cyclic piece is refined once, jointly
+with the (color-filtered) non-well-founded region of the store; that one
+refinement also collapses the piece internally, and a copy of it in a
+later piece finds the sets minted for it by color.  The net effect is
+the coarsest stable partition of the combined store-plus-picture graph,
+without touching the parts of the store that cannot possibly be
+involved.
 
 Concurrency contract: all mutation goes through a single writer; query
 methods are read-only and safe to call from many threads once
@@ -88,17 +90,16 @@ def _shape_problems(children: Mapping, store_refs: Mapping) -> list[str]:
     return problems
 
 
-def _refine(nodes, kids, init_key):
+def _refine(nodes, kids, consts):
     """Coarsest partition of ``nodes`` stable under the edge map ``kids``.
 
-    ``init_key(n)`` must be equal for nodes that are allowed to share a
-    block initially (it encodes the constant part of a node's children).
-    Returns a dict node -> block id; blocks realize the maximum
-    bisimulation that respects the initial keys.
+    ``consts[n]`` is the constant part of ``n``'s children; only nodes
+    with equal constants may share a block.  Returns a dict node -> block
+    id; blocks realize the maximum bisimulation that respects them.
     """
     by_key: dict = {}
     for n in nodes:
-        by_key.setdefault(init_key(n), []).append(n)
+        by_key.setdefault(consts[n], []).append(n)
 
     blocks: dict[int, set] = {}
     block_of: dict = {}
@@ -273,6 +274,14 @@ class Universe:
             self._intern[key] = sid
             self._bucket.setdefault(colors[-1], []).append(sid)
 
+    def _intern_or_append(self, key: tuple[SetId, ...]) -> SetId:
+        """Handle of the stored set with element tuple ``key``, appending
+        it if there is none; every element must exist already."""
+        sid = self._intern.get(key)
+        if sid is None:
+            sid = self._append(key, all(self._wf[e] for e in key))
+        return sid
+
     def _key(self, members: Iterable[SetId]) -> tuple[SetId, ...]:
         """Sorted, duplicate-free element tuple; every member is checked."""
         key = tuple(sorted(set(members)))
@@ -288,11 +297,7 @@ class Universe:
 
     def make_set(self, members: Iterable[SetId]) -> SetId:
         """Canonical set with exactly the given members."""
-        key = self._key(members)
-        sid = self._intern.get(key)
-        if sid is None:
-            sid = self._append(key, all(self._wf[m] for m in key))
-        return sid
+        return self._intern_or_append(self._key(members))
 
     def union_of(self, sets: Iterable[SetId]) -> SetId:
         """Union of the element lists of the given sets."""
@@ -351,67 +356,48 @@ class Universe:
                 self._check(r)
             refs[n] = tuple(rs)
 
-        # 1. collapse the picture internally (store refs act as constants)
-        block_of = _refine(nodes, kids, lambda n: refs[n])
-        qmin: dict[int, int] = {}
-        for n in nodes:
-            b = block_of[n]
-            if b not in qmin or n < qmin[b]:
-                qmin[b] = n
-        qnodes = sorted(qmin, key=lambda b: qmin[b])
-        qkids = {}
-        qrefs = {}
-        for b in qnodes:
-            rep = qmin[b]
-            qkids[b] = sorted({block_of[c] for c in kids[rep]})
-            qrefs[b] = refs[rep]
-
-        # 2. resolve strongly connected pieces bottom-up
         resolved: dict[int, SetId] = {}
-        for comp in _sccs(qnodes, qkids):
-            q = comp[0]
-            if len(comp) == 1 and q not in qkids[q]:
-                elems = set(qrefs[q])
-                elems.update(resolved[c] for c in qkids[q])
-                key = tuple(sorted(elems))
-                sid = self._intern.get(key)
-                if sid is None:
-                    wf = all(self._wf[e] for e in key)
-                    sid = self._append(key, wf)
-                resolved[q] = sid
+        for comp in _sccs(nodes, kids):
+            n = comp[0]
+            if len(comp) == 1 and n not in kids[n]:
+                elems = set(refs[n])
+                elems.update(resolved[c] for c in kids[n])
+                resolved[n] = self._intern_or_append(tuple(sorted(elems)))
             else:
-                self._resolve_cluster(sorted(comp, key=lambda b: qmin[b]),
-                                      qkids, qrefs, qmin, resolved)
-        return {n: resolved[block_of[n]] for n in nodes}
+                self._resolve_cluster(sorted(comp), kids, refs, resolved)
+        return resolved
 
-    def _resolve_cluster(self, comp, qkids, qrefs, qmin, resolved):
-        """Match one cyclic cluster against the store, or mint fresh sets.
+    def _resolve_cluster(self, comp, kids, refs, resolved):
+        """Match one cyclic piece against the store, or mint fresh sets.
 
-        Every node of the cluster lies on a membership cycle, so it can
+        Every node of the piece lies on a membership cycle, so it can
         only equal a non-well-founded stored set.  Candidate stored sets
         are looked up by structural color, closed downward through their
-        non-well-founded descendants, and refined jointly with the
-        cluster; everything else acts as constants.
+        non-well-founded descendants, and refined jointly with the piece;
+        everything else acts as constants.  That one refinement also
+        collapses the piece internally: its bisimilar nodes share a block
+        and become one set.  A fresh set takes the colors of its block's
+        smallest node, which equal those of every node in the block.
         """
         in_comp = set(comp)
         external = {}
         internal = {}
-        for q in comp:
-            external[q] = sorted(set(qrefs[q]) |
-                                 {resolved[c] for c in qkids[q] if c not in in_comp})
-            internal[q] = [c for c in qkids[q] if c in in_comp]
+        for n in comp:
+            external[n] = sorted(set(refs[n]) |
+                                 {resolved[c] for c in kids[n] if c not in in_comp})
+            internal[n] = [c for c in kids[n] if c in in_comp]
 
-        # structural colors of the cluster, same recipe as stored colors
-        col: dict[int, list[int]] = {q: [0] for q in comp}
+        # structural colors of the piece, same recipe as stored colors
+        col: dict[int, list[int]] = {n: [0] for n in comp}
         for k in range(1, COLOR_ROUNDS + 1):
-            for q in comp:
-                sig = {self._colors[e][k - 1] for e in external[q]}
-                sig.update(col[c][k - 1] for c in internal[q])
-                col[q].append(hash((col[q][k - 1], tuple(sorted(sig)))))
+            for n in comp:
+                sig = {self._colors[e][k - 1] for e in external[n]}
+                sig.update(col[c][k - 1] for c in internal[n])
+                col[n].append(hash((col[n][k - 1], tuple(sorted(sig)))))
 
         candidates = set()
-        for q in comp:
-            candidates.update(self._bucket.get(col[q][COLOR_ROUNDS], ()))
+        for n in comp:
+            candidates.update(self._bucket.get(col[n][COLOR_ROUNDS], ()))
         region: set[SetId] = set()
         stack = sorted(candidates)
         while stack:
@@ -422,69 +408,48 @@ class Universe:
             stack.extend(e for e in self._elems[s]
                          if not self._wf[e] and e not in region)
 
-        cnodes = [("c", q) for q in comp]
+        cnodes = [("c", n) for n in comp]
         snodes = [("s", i) for i in sorted(region)]
         kids2 = {}
         consts = {}
-        for q in comp:
-            kids2[("c", q)] = ([("c", c) for c in internal[q]] +
-                               [("s", r) for r in external[q] if r in region])
-            consts[("c", q)] = tuple(r for r in external[q] if r not in region)
+        for n in comp:
+            kids2[("c", n)] = ([("c", c) for c in internal[n]] +
+                               [("s", r) for r in external[n] if r in region])
+            consts[("c", n)] = tuple(r for r in external[n] if r not in region)
         for i in sorted(region):
             kids2[("s", i)] = [("s", t) for t in self._elems[i] if not self._wf[t]]
             consts[("s", i)] = tuple(t for t in self._elems[i] if self._wf[t])
 
-        block2 = _refine(cnodes + snodes, kids2, lambda n: consts[n])
+        block2 = _refine(cnodes + snodes, kids2, consts)
 
         groups: dict[int, list] = {}
-        for n in cnodes + snodes:
-            groups.setdefault(block2[n], []).append(n)
+        for m in cnodes + snodes:
+            groups.setdefault(block2[m], []).append(m)
 
         value: dict[int, SetId] = {}
         fresh_blocks = []
         for b, members in groups.items():
-            stored = [n[1] for n in members if n[0] == "s"]
-            cluster = [n[1] for n in members if n[0] == "c"]
+            stored = [m[1] for m in members if m[0] == "s"]
+            cluster = [m[1] for m in members if m[0] == "c"]
             assert len(stored) <= 1, "store was not bisimulation-minimal"
             if not cluster:
                 continue
             if stored:
                 value[b] = stored[0]
             else:
-                fresh_blocks.append((min(qmin[q] for q in cluster), b, min(cluster, key=lambda q: qmin[q])))
+                fresh_blocks.append((min(cluster), b))
         fresh_blocks.sort()
 
         base = len(self._elems)
-        for offset, (_, b, _) in enumerate(fresh_blocks):
+        for offset, (_, b) in enumerate(fresh_blocks):
             value[b] = base + offset
 
         records = []
-        for _, b, rep in fresh_blocks:
+        for rep, _ in fresh_blocks:
             elems = set(external[rep])
             elems.update(value[block2[("c", c)]] for c in internal[rep])
             records.append(tuple(sorted(elems)))
+        self._append_cyclic_batch(records, [tuple(col[rep]) for rep, _ in fresh_blocks])
 
-        fresh_colors = self._group_colors([base + i for i in range(len(records))], records)
-        self._append_cyclic_batch(records, fresh_colors)
-
-        for q in comp:
-            resolved[q] = value[block2[("c", q)]]
-
-    def _group_colors(self, new_ids, records):
-        """Structural colors for a batch of mutually referring new sets."""
-        base = len(self._elems)
-        pos = {sid: i for i, sid in enumerate(new_ids)}
-        cols = [[0] for _ in new_ids]
-        for k in range(1, COLOR_ROUNDS + 1):
-            level = []
-            for i, elems in enumerate(records):
-                sig = set()
-                for e in elems:
-                    if e >= base:
-                        sig.add(cols[pos[e]][k - 1])
-                    else:
-                        sig.add(self._colors[e][k - 1])
-                level.append(hash((cols[i][k - 1], tuple(sorted(sig)))))
-            for i, h in enumerate(level):
-                cols[i].append(h)
-        return [tuple(c) for c in cols]
+        for n in comp:
+            resolved[n] = value[block2[("c", n)]]

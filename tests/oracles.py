@@ -198,12 +198,14 @@ def random_apg(rng: random.Random, max_nodes=12, store=()) -> Apg:
 
 
 def bisimilar_variant(rng: random.Random, g: Apg) -> Apg:
-    """A picture of the same hyperset: relabel and duplicate some nodes."""
+    """A picture of the same hyperset: relabel and duplicate some nodes.
+    Store refs go with their nodes and with the duplicates."""
     nodes = sorted(g.children)
     n = len(nodes)
     remap = {node: i for i, node in enumerate(nodes)}
     children = {remap[node]: {remap[c] for c in g.children[node]}
                 for node in nodes}
+    refs = {remap[node]: rs for node, rs in g.store_refs.items()}
     root = remap[g.root]
     # duplicate a few nodes: give some parent an extra, bisimilar child
     for _ in range(rng.randint(0, 3)):
@@ -213,13 +215,16 @@ def bisimilar_variant(rng: random.Random, g: Apg) -> Apg:
             continue
         fresh = len(children)
         children[fresh] = set(children[v])
+        if v in refs:
+            refs[fresh] = refs[v]
         children[rng.choice(parents)].add(fresh)
     # relabel once more
     labels = list(children)
     rng.shuffle(labels)
     perm = {old: new for new, old in enumerate(labels)}
     out = {perm[x]: frozenset(perm[c] for c in cs) for x, cs in children.items()}
-    return Apg(children=out, root=perm[root])
+    return Apg(children=out, root=perm[root],
+               store_refs={perm[x]: rs for x, rs in refs.items()})
 
 
 def parse_graph_output(text: str):

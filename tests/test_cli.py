@@ -239,11 +239,22 @@ def test_census(capsys):
     ["star", "2", "--seed", "-5"],
     ["component", "{pattern}", "--seed", "-5"],
     ["census", "--max-n", "3", "--seed", "-5"],
-], ids=["game-loopy-abc", "game-loopy-empty", "star", "component", "census"])
+    ["solve", "{dir}"],
+    ["component", "{dir}"],
+    ["solve", "{latin1}"],
+    ["rado", "--check", "-1"],
+    ["census", "--max-n", "-1"],
+    ["game", "--rounds", "-1", "--left", "bit", "--right", "bit"],
+], ids=["game-loopy-abc", "game-loopy-empty", "star", "component", "census",
+        "solve-directory", "component-directory", "solve-not-utf8",
+        "rado-negative-check", "census-negative-max-n", "game-negative-rounds"])
 def test_bad_seed_is_one_line_error(tmp_path, argv):
     pattern = tmp_path / "pattern.txt"
     pattern.write_text(FOUR_CYCLE)
-    proc = run_process(*(arg.replace("{pattern}", str(pattern)) for arg in argv))
+    latin1 = tmp_path / "latin1.hs"
+    latin1.write_bytes(b"atom a = 0\nx = {a}\n# caf\xe9 \xff\n")
+    places = {"{pattern}": pattern, "{dir}": tmp_path, "{latin1}": latin1}
+    proc = run_process(*(str(places.get(arg, arg)) for arg in argv))
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 

@@ -296,6 +296,17 @@ def test_canonical_store_matches_naive_oracle_on_random_pairs(u):
         assert got == expected, f"trial {trial}: engine={got} oracle={expected}"
 
 
+def _side_by_side(g: Apg, h: Apg):
+    """Children and store refs of one picture holding ``g`` and ``h``,
+    ``h``'s nodes shifted past ``g``'s; also the shift."""
+    off = max(g.children) + 1
+    children = dict(g.children)
+    children.update({off + n: frozenset(off + c for c in cs) for n, cs in h.children.items()})
+    refs = dict(g.store_refs)
+    refs.update({off + n: rs for n, rs in h.store_refs.items()})
+    return children, refs, off
+
+
 def test_store_stays_minimal_after_random_insertions():
     uni = Universe()
     rng = random.Random(13)
@@ -303,6 +314,30 @@ def test_store_stays_minimal_after_random_insertions():
         uni.canonicalize(random_apg(rng, max_nodes=6))
     uni.vn(4)
     uni.canonicalize(OMEGA)
+    assert distinct_pairs_bisimilar(uni) == []
+
+    # bisimilar copies inside one picture, in separate strongly connected
+    # pieces: the later piece must find the sets minted for the earlier one
+    for _ in range(40):
+        g = random_apg(rng, max_nodes=6, store=list(uni.ids()))
+        h = bisimilar_variant(rng, g)
+        children, refs, off = _side_by_side(g, h)
+        got = uni.canonicalize_all(children, refs)
+        assert got[g.root] == got[off + h.root] == uni.canonicalize(g)
+    for k, n in enumerate((1, 2, 3, 5, 8)):
+        # an n-cycle carrying a fresh atom at node 0 next to its 2n
+        # unrolling, each of the two first in one of the pictures
+        for j, unrolled_first in enumerate((False, True)):
+            atom = frozenset({uni.vn(10 + 2 * k + j)})
+            cycle = Apg({i: frozenset({(i + 1) % n}) for i in range(n)}, 0, {0: atom})
+            unrolled = Apg({i: frozenset({(i + 1) % (2 * n)}) for i in range(2 * n)}, 0,
+                           {0: atom, n: atom})
+            first, second = (unrolled, cycle) if unrolled_first else (cycle, unrolled)
+            children, refs, off = _side_by_side(first, second)
+            got = uni.canonicalize_all(children, refs)
+            for i in children:
+                assert got[i] == got[(i - off if i >= off else i) % n]
+            assert len({got[i] for i in range(n)}) == n
     assert distinct_pairs_bisimilar(uni) == []
 
 
