@@ -55,8 +55,15 @@ def _universe() -> Universe:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """Text of a UTF-8 file, with universal newlines as in text mode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise HypersetError(f"{path}: not UTF-8: byte 0x{data[exc.start]:02x} "
+                            f"at offset {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def cmd_solve(args) -> int:
@@ -238,15 +245,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
         sys.stdout.reconfigure(encoding="utf-8")
     except (AttributeError, ValueError):
         pass
-    args = build_parser().parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError, HypersetError) as exc:
+    except (OSError, HypersetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

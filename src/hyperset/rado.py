@@ -62,7 +62,10 @@ class AckermannCoder:
 
     ``bound`` caps code values (default 2^64) so that accidentally deep
     sets fail fast instead of materializing towers of exponentials;
-    pass ``bound=None`` to lift the cap.
+    pass ``bound=None`` to lift the cap.  Overflow is remembered: a set
+    whose code exceeds the bound raises ``DomainError`` at once on every
+    later call, and so does a set with such an element, so labelling a
+    whole closure in code order looks at each set about once.
     """
 
     def __init__(self, u: Universe, bound: int | None = DEFAULT_CODE_BOUND):
@@ -70,32 +73,41 @@ class AckermannCoder:
         self.bound = bound
         self._codes: dict[SetId, int] = {}
         self._decodes: dict[int, SetId] = {}
+        self._overflow: set[SetId] = set()
+
+    def _overflowed(self, x: SetId) -> DomainError:
+        self._overflow.add(x)
+        return DomainError(f"code of set {x} exceeds the bound of {self.bound}")
 
     def code(self, s: SetId) -> int:
         u = self.u
         if not u.is_well_founded(s):
             raise DomainError("Ackermann coding is undefined on hypersets")
         known = self._codes
+        over = self._overflow
         stack = [s]
         while stack:
             x = stack[-1]
             if x in known:
                 stack.pop()
                 continue
-            pending = [e for e in u.elements(x) if e not in known]
+            if x in over:
+                raise self._overflowed(x)
+            elems = u.elements(x)
+            pending = [e for e in elems if e not in known]
             if pending:
+                if not over.isdisjoint(pending):
+                    raise self._overflowed(x)
                 stack.extend(pending)
                 continue
             total = 0
-            for e in u.elements(x):
+            for e in elems:
                 ce = known[e]
                 if self.bound is not None and ce >= self.bound.bit_length():
-                    raise DomainError(
-                        f"code of set {x} exceeds the bound of {self.bound}")
+                    raise self._overflowed(x)
                 total += 1 << ce
             if self.bound is not None and total > self.bound:
-                raise DomainError(
-                    f"code of set {x} exceeds the bound of {self.bound}")
+                raise self._overflowed(x)
             known[x] = total
             stack.pop()
         return known[s]

@@ -11,12 +11,14 @@ Insertion is merge-and-collapse.  The strongly connected pieces of a
 new picture are resolved against the store bottom-up.  An acyclic node,
 whose children are all resolved by then, goes through an interning
 table keyed on element lists.  A cyclic piece is refined once, jointly
-with the (color-filtered) non-well-founded region of the store; that one
-refinement also collapses the piece internally, and a copy of it in a
-later piece finds the sets minted for it by color.  The net effect is
-the coarsest stable partition of the combined store-plus-picture graph,
-without touching the parts of the store that cannot possibly be
-involved.
+with the non-well-founded region of the store that could match it; that
+one refinement also collapses the piece internally.  Structural colors
+exist only to find that region: a piece looks up stored sets by color,
+so while the store holds no non-well-founded set a piece is neither
+colored nor looked up, and the sets minted for it are colored at the
+first later lookup.  The net effect is the coarsest stable partition of
+the combined store-plus-picture graph, without touching the parts of
+the store that cannot possibly be involved.
 
 Concurrency contract: all mutation goes through a single writer; query
 methods are read-only and safe to call from many threads once
@@ -199,9 +201,10 @@ class Universe:
     def __init__(self, max_sets: int | None = None):
         self._elems: list[tuple[SetId, ...]] = []
         self._wf: list[bool] = []
-        self._colors: list[tuple[int, ...]] = []
+        self._colors: list[tuple[int, ...] | None] = []
         self._intern: dict[tuple[SetId, ...], SetId] = {}
         self._bucket: dict[int, list[SetId]] = {}
+        self._uncolored: list[SetId] = []
         self._vn: list[SetId] = []
         self._max_sets = max_sets
 
@@ -261,7 +264,10 @@ class Universe:
         """Append mutually referring non-well-founded records.
 
         Element tuples may mention ids inside the batch itself; record i
-        becomes handle ``len(self) + i``.
+        becomes handle ``len(self) + i``.  Colors exist only to find
+        lookup candidates, so a record's colors are None when its piece
+        was never looked up: it then waits uncolored, and the first later
+        lookup colors it from the stored graph.
         """
         base = len(self._elems)
         if self._max_sets is not None and base + len(records) > self._max_sets:
@@ -272,7 +278,39 @@ class Universe:
             self._colors.append(colors)
             assert key not in self._intern
             self._intern[key] = sid
-            self._bucket.setdefault(colors[-1], []).append(sid)
+            if colors is None:
+                self._uncolored.append(sid)
+            else:
+                self._bucket.setdefault(colors[-1], []).append(sid)
+
+    def _color_rounds(self, nodes, internal, external) -> dict:
+        """``COLOR_ROUNDS`` rounds of iterated neighborhood hashing.
+
+        ``internal[n]`` lists the children of ``n`` among ``nodes``,
+        ``external[n]`` its children among the colored stored sets.
+        Returns node -> list of its colors, round 0 first.  The colors
+        are bisimulation-invariant, so a cyclic piece and the stored sets
+        minted for it get the same ones.
+        """
+        col: dict = {n: [0] for n in nodes}
+        for k in range(1, COLOR_ROUNDS + 1):
+            for n in nodes:
+                sig = {self._colors[e][k - 1] for e in external[n]}
+                sig.update(col[c][k - 1] for c in internal[n])
+                col[n].append(hash((col[n][k - 1], tuple(sorted(sig)))))
+        return col
+
+    def _color_uncolored(self) -> None:
+        """Color the stored sets minted before any lookup, and file them
+        in ``_bucket``."""
+        batch, self._uncolored = self._uncolored, []
+        inside = set(batch)
+        internal = {s: [e for e in self._elems[s] if e in inside] for s in batch}
+        external = {s: [e for e in self._elems[s] if e not in inside] for s in batch}
+        col = self._color_rounds(batch, internal, external)
+        for s in batch:
+            self._colors[s] = tuple(col[s])
+            self._bucket.setdefault(col[s][-1], []).append(s)
 
     def _intern_or_append(self, key: tuple[SetId, ...]) -> SetId:
         """Handle of the stored set with element tuple ``key``, appending
@@ -376,8 +414,14 @@ class Universe:
         non-well-founded descendants, and refined jointly with the piece;
         everything else acts as constants.  That one refinement also
         collapses the piece internally: its bisimilar nodes share a block
-        and become one set.  A fresh set takes the colors of its block's
-        smallest node, which equal those of every node in the block.
+        and become one set.
+
+        Colors only find candidates.  While the store holds no
+        non-well-founded set there are none, so the piece is refined
+        alone and its fresh sets are stored uncolored.  Otherwise the
+        sets still uncolored are colored first, and a fresh set takes the
+        colors of its block's smallest node, which equal those of every
+        node in the block.
         """
         in_comp = set(comp)
         external = {}
@@ -387,17 +431,14 @@ class Universe:
                                  {resolved[c] for c in kids[n] if c not in in_comp})
             internal[n] = [c for c in kids[n] if c in in_comp]
 
-        # structural colors of the piece, same recipe as stored colors
-        col: dict[int, list[int]] = {n: [0] for n in comp}
-        for k in range(1, COLOR_ROUNDS + 1):
-            for n in comp:
-                sig = {self._colors[e][k - 1] for e in external[n]}
-                sig.update(col[c][k - 1] for c in internal[n])
-                col[n].append(hash((col[n][k - 1], tuple(sorted(sig)))))
-
+        lookup = bool(self._bucket or self._uncolored)
         candidates = set()
-        for n in comp:
-            candidates.update(self._bucket.get(col[n][COLOR_ROUNDS], ()))
+        if lookup:
+            if self._uncolored:
+                self._color_uncolored()
+            col = self._color_rounds(comp, internal, external)
+            for n in comp:
+                candidates.update(self._bucket.get(col[n][COLOR_ROUNDS], ()))
         region: set[SetId] = set()
         stack = sorted(candidates)
         while stack:
@@ -449,7 +490,8 @@ class Universe:
             elems = set(external[rep])
             elems.update(value[block2[("c", c)]] for c in internal[rep])
             records.append(tuple(sorted(elems)))
-        self._append_cyclic_batch(records, [tuple(col[rep]) for rep, _ in fresh_blocks])
+        self._append_cyclic_batch(
+            records, [tuple(col[rep]) if lookup else None for rep, _ in fresh_blocks])
 
         for n in comp:
             resolved[n] = value[block2[("c", n)]]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hyperset import cli
 from hyperset.cli import main
 
 from oracles import parse_graph_output
@@ -257,6 +258,20 @@ def test_bad_seed_is_one_line_error(tmp_path, argv):
     proc = run_process(*(str(places.get(arg, arg)) for arg in argv))
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    if "{latin1}" in argv:
+        assert "latin1.hs" in proc.stderr and "offset 24" in proc.stderr, proc.stderr
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "pair.hs"
+    f.write_text(PAIR_TEXT)
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    outs = [run(capsys, "solve", str(f)) for _ in range(3)]
+    assert len(built) == 1
+    assert outs[0][0] == 0 and outs.count(outs[0]) == 3
 
 
 def test_universe_cap_env(tmp_path, capsys, monkeypatch):

@@ -82,6 +82,30 @@ def test_code_bound_guard(u):
     assert unbounded.code(u.vn(5)) == 2059 + 2 ** 2059
 
 
+def test_code_remembers_overflow(u, monkeypatch):
+    with pytest.raises(DomainError):
+        ackermann_code(u, u.vn(5))
+    coder = AckermannCoder(u)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            coder.code(u.vn(5))
+
+    numerals = [u.vn(k) for k in range(241)]
+    calls = []
+    elements = u.elements
+    monkeypatch.setattr(u, "elements", lambda s: calls.append(s) or elements(s))
+    coder = AckermannCoder(u)
+    labels = []
+    for s in numerals:
+        try:
+            labels.append(coder.code(s))
+        except DomainError:
+            labels.append(None)
+    assert labels[:5] == [0, 1, 3, 11, 2059]
+    assert labels[5:] == [None] * 236
+    assert len(calls) <= 3 * 241
+
+
 def test_correspondence_sweep(u):
     nsets, pairs, mismatches = coding_correspondence(u, 256)
     assert nsets == 257

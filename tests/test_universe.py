@@ -1,11 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperset.errors import MalformedGraph, UniverseFull, UnknownHandle
 from hyperset.flat import FlatSystem, solve
-from hyperset.sysfile import parse_set_literal
+from hyperset.sysfile import parse_set_literal, parse_system
 from hyperset.universe import Apg, Universe
 
 from oracles import (
@@ -179,6 +180,58 @@ def test_store_ref_into_stored_two_cycle(u):
                                {0: frozenset({a}), 1: frozenset({b, x})})
     assert again == stored
     assert len(u) == size
+
+
+def unrolled_copy(system, offset):
+    """Two interleaved copies of ``system``'s picture, on nodes from
+    ``offset`` on: each copy points into the other, so the result is
+    bisimilar to the original, node for node."""
+    names = system.indeterminates()
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    children, refs = {}, {}
+    for name, rhs in system.equations:
+        for half in (0, 1):
+            node = offset + half * n + index[name]
+            other = offset + (1 - half) * n
+            children[node] = frozenset(other + index[r] for r in rhs if r in index)
+            refs[node] = frozenset(system.atoms[r] for r in rhs if r not in index)
+    return children, refs
+
+
+def test_lone_cycle_is_colored_only_when_a_lookup_needs_it(monkeypatch):
+    u = Universe()
+    text = (Path(__file__).parent / "golden" / "cycle40.hs").read_text()
+    system = parse_system(u, text)
+    colorings = []
+    recurrence = Universe._color_rounds
+
+    def counted(self, nodes, internal, external):
+        colorings.append(len(nodes))
+        return recurrence(self, nodes, internal, external)
+
+    monkeypatch.setattr(Universe, "_color_rounds", counted)
+    first = solve(u, system)
+    assert colorings == []
+
+    names = system.indeterminates()
+    children, refs = unrolled_copy(system, 0)
+    again = u.canonicalize_all(children, refs)
+    assert colorings, "a store with a cyclic set must be looked up"
+    for i, name in enumerate(names):
+        assert again[i] == again[i + len(names)] == first[name]
+
+    atom = u.vn(9)
+    ring = {0: frozenset({1}), 1: frozenset({2}), 2: frozenset({0})}
+    ring_refs = {0: frozenset({atom}), 1: frozenset(), 2: frozenset()}
+    children, refs = unrolled_copy(system, 3)
+    children.update(ring)
+    refs.update(ring_refs)
+    third = u.canonicalize_all(children, refs)
+    assert third[0] not in first.values()
+    for i, name in enumerate(names):
+        assert third[3 + i] == third[3 + i + len(names)] == first[name]
+    assert distinct_pairs_bisimilar(u) == []
 
 
 def picture_with_refs(rng, uni, s):
