@@ -280,8 +280,9 @@ def _bit_game_witness(us, vs) -> int:
 
     Scans small vertices first, then the set-bit positions of any huge
     members of U (a fresh witness below them must be one of their
-    bits), then small sums with a fresh top bit; the textbook shape is
-    the last resort and is refused once it stops being representable.
+    bits), then small sums with a fresh top bit; the textbook
+    :func:`bit_witness` is the last resort and is refused once it stops
+    being representable.
     """
     us, vs = sorted(set(us)), sorted(set(vs))
     if set(us) & set(vs):
@@ -317,7 +318,7 @@ def _bit_game_witness(us, vs) -> int:
     if top > 5_000_000:
         raise ContractViolation(
             "no representable BIT witness for this configuration")
-    return sum(1 << a for a in us) + (1 << top)
+    return bit_witness(us, vs)
 
 
 def bit_graph_oracle() -> ExtensionOracle:

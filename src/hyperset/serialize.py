@@ -15,13 +15,9 @@ tuples inside each layer.
 
 Structural order is the order that iterated exact partition refinement
 gives the whole closure: each round orders the members of a block by
-the sorted tuple of the blocks their elements lie in.  The kernel in
-:func:`structural_ranks` reproduces that order exactly without
-re-signing every set each round.  Members of a block hit the same
-blocks of the previous round, so a round only re-keys the parents of
-blocks that have just split, found by scanning the in-edges of every
-piece but the largest (Hopcroft's rule), with per-parent edge counts
-standing in for the largest piece.
+the sorted tuple of the blocks their elements lie in.  The counting
+kernel :func:`hyperset.universe.refine_ranks` reproduces that order
+exactly without re-signing every set each round.
 """
 
 from __future__ import annotations
@@ -32,12 +28,9 @@ from itertools import count
 from .errors import DomainError, ValidationError
 from .flat import FlatSystem
 from .reducts import LoopyGraph, MultiGraph, closure
-from .universe import SetId, Universe
+from .universe import SetId, Universe, refine_ranks
 
 NU = "ν"  # ν
-
-# Label room given to each block when block order labels are renumbered.
-_LABEL_SPAN = 1 << 32
 
 
 # -- ordering helpers -------------------------------------------------------
@@ -95,160 +88,28 @@ def structural_ranks(u: Universe, vertices) -> dict[SetId, int]:
     separate completely and the ranks depend only on the sets, not on
     construction history.
 
-    Each round re-keys only the parents of blocks that split in the
-    round before (see the module docstring).  Blocks keep their order
-    as integer labels with gaps, renumbered when a gap runs out.
+    The rounds are those of :func:`hyperset.universe.refine_ranks`,
+    started from two blocks: the empty set, then everything else.
     """
     ids = sorted(vertices)
-    vset = set(ids)
-    preds: dict[SetId, list[SetId]] = {s: [] for s in vset}
-    degree: dict[SetId, int] = {}
-    for s in vset:
-        elems = u.elements(s)
-        for e in elems:
-            if e not in vset:
-                raise ValidationError("vertex set is not element-closed")
-            preds[e].append(s)
-        if elems:
-            degree[s] = len(elems)
-    if not vset:
-        return {}
-
-    # Per block id: members, order label interval [lo, hi) and, for each
-    # parent, how many of its elements lie in the block.  top[p] is the
-    # last block that p's elements lie in.
-    block_of = dict.fromkeys(vset, 0)
-    members = [vset]
-    lo, hi = [0], [_LABEL_SPAN]
-    count: list[dict[SetId, int] | None] = [degree]
-    top = dict.fromkeys(degree, 0)
-
-    def relabel() -> None:
-        for i, b in enumerate(sorted(range(len(lo)), key=lo.__getitem__)):
-            lo[b], hi[b] = i * _LABEL_SPAN, (i + 1) * _LABEL_SPAN
-
-    def split(b: int, groups: list, rest: int) -> list[int]:
-        """Replace block ``b`` by ``groups`` in that order, where None
-        stands for the ``rest`` members of ``b`` in no listed group.
-        The largest piece keeps id ``b``; returns the piece ids."""
-        sizes = [rest if g is None else len(g) for g in groups]
-        big = sizes.index(max(sizes))
-        if groups[big] is None:
-            for g in groups:
-                if g is not None:
-                    members[b].difference_update(g)
-        else:
-            if rest:
-                others = members[b].difference(*(g for g in groups if g is not None))
-                groups = [others if g is None else g for g in groups]
-            members[b] = set(groups[big])
-        k = len(groups)
-        if hi[b] - lo[b] < k:
-            relabel()
-        start, width = lo[b], hi[b] - lo[b]
-        pieces = []
-        for j, g in enumerate(groups):
-            piece = b
-            if j != big:
-                piece = len(members)
-                members.append(set(g))
-                lo.append(0)
-                hi.append(0)
-                count.append(None)
-                for s in g:
-                    block_of[s] = piece
-            lo[piece] = start + j * width // k
-            hi[piece] = start + (j + 1) * width // k
-            pieces.append(piece)
-        return pieces
-
-    # Round one: the empty set (no elements) before everything else.
-    splitters: list[tuple[int, list[int]]] = []
-    if 0 < len(degree) < len(vset):
-        nonempty = list(degree)
-        splitters.append((0, split(0, [None, nonempty], len(vset) - len(nonempty))))
-
-    while splitters:
-        # A parent's key is sparse: one entry per split block whose small
-        # pieces it hits, in block order.  The entry's segment lists the
-        # pieces hit, then a sentinel that stands for what follows in the
-        # full tuple: nothing (below every piece) if this is the last
-        # block the parent hits, a later block (above every piece)
-        # otherwise.  Members that skip a split block's small pieces hit
-        # its largest piece only, so each entry is signed by how its
-        # segment compares with that default, and the signed entries
-        # plus the (0,) terminator order parents as the full tuples do.
-        splitters.sort(key=lambda sp: lo[sp[0]])
-        entries: dict[SetId, list[tuple]] = {}
-        for c, pieces in splitters:
-            label = lo[c]
-            pos = {b: i for i, b in enumerate(pieces)}
-            rest = count[c]
-            hits: dict[SetId, list[int]] = {}
-            for i, b in enumerate(pieces):
-                if b == c:
-                    continue
-                here: dict[SetId, int] = {}
-                for v in members[b]:
-                    for p in preds[v]:
-                        here[p] = here.get(p, 0) + 1
-                count[b] = here
-                for p, k in here.items():
-                    left = rest[p] - k
-                    if left:
-                        rest[p] = left
-                    else:
-                        del rest[p]
-                    if p in hits:
-                        hits[p].append(i)
-                    else:
-                        hits[p] = [i]
-            ic = pos[c]
-            for p, hit in hits.items():
-                if p in rest:
-                    hit.append(ic)
-                    hit.sort()
-                if top[p] == c:
-                    top[p] = pieces[hit[-1]]
-                sentinel = -1 if top[p] in pos else len(pieces)
-                seg = (*hit, sentinel)
-                entry = (-1, label, seg) if seg < (ic, sentinel) else (1, -label, seg)
-                if p in entries:
-                    entries[p].append(entry)
-                else:
-                    entries[p] = [entry]
-
-        touched: dict[int, list[SetId]] = {}
-        for p, es in entries.items():
-            es.append((0,))
-            touched.setdefault(block_of[p], []).append(p)
-        splitters = []
-        for b, ps in touched.items():
-            groups: dict[tuple, list[SetId] | None] = {}
-            for p in ps:
-                groups.setdefault(tuple(entries[p]), []).append(p)
-            rest = len(members[b]) - len(ps)
-            if rest:
-                groups[((0,),)] = None
-            if len(groups) > 1:
-                ordered = [groups[key] for key in sorted(groups)]
-                splitters.append((b, split(b, ordered, rest)))
-
-    rank = {b: i for i, b in enumerate(sorted(range(len(lo)), key=lo.__getitem__))}
-    return {s: rank[block_of[s]] for s in ids}
+    elems = {s: u.elements(s) for s in ids}
+    return refine_ranks(ids, elems, {s: bool(es) for s, es in elems.items()})
 
 
 def numeral_of(u: Universe, s: SetId) -> int | None:
     """n when ``s`` is the von Neumann numeral n, else None.
 
-    Read-only: numerals past the store's numeral cache are probed for,
-    never built, and a numeral that is not stored cannot be ``s``.
+    Read-only: numerals past the store's numeral cache are probed for
+    up to 4096, never built, and a numeral that is not stored cannot be
+    ``s``.
     """
     n = len(u.elements(s))
-    if n > 4096 or not u.is_well_founded(s):
+    if not u.is_well_founded(s):
         return None
     if n < len(u._vn):
         return n if u._vn[n] == s else None
+    if n > 4096:
+        return None
     numerals = list(u._vn)
     while len(numerals) <= n:
         nxt = u.find_set(numerals)
@@ -267,10 +128,9 @@ def wf_literal(u: Universe, s: SetId, index: dict[SetId, int] | None = None,
     von Neumann numerals to decimals.
 
     Built bottom-up without recursion, each distinct subset once, so
-    nesting depth is bounded by memory, not the stack.
+    nesting depth is bounded by memory, not the stack.  The code index
+    is built only once a set is spelled out, so a numeral costs none.
     """
-    if index is None:
-        index = wf_code_index(u, [s])
     text: dict[SetId, str] = {}
     stack = [(s, False)]
     while stack:
@@ -278,6 +138,8 @@ def wf_literal(u: Universe, s: SetId, index: dict[SetId, int] | None = None,
         if t in text:
             continue
         if ready:
+            if index is None:
+                index = wf_code_index(u, [s])
             inner = ",".join(text[e] for e in sorted(u.elements(t), key=index.__getitem__))
             text[t] = "{" + inner + "}"
             continue

@@ -11,9 +11,10 @@ Insertion is merge-and-collapse.  The strongly connected pieces of a
 new picture are resolved against the store bottom-up.  An acyclic node,
 whose children are all resolved by then, goes through an interning
 table keyed on element lists.  A cyclic piece is refined once, jointly
-with the non-well-founded region of the store that could match it; that
-one refinement also collapses the piece internally.  Structural colors
-exist only to find that region: a piece looks up stored sets by color,
+with the non-well-founded region of the store that could match it, by
+the counting kernel :func:`refine_ranks` that also orders serialization;
+that one refinement also collapses the piece internally.  Structural
+colors exist only to find that region: a piece looks up stored sets by color,
 so while the store holds no non-well-founded set a piece is neither
 colored nor looked up, and the sets minted for it are colored at the
 first later lookup.  The net effect is the coarsest stable partition of
@@ -32,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import MalformedGraph, UniverseFull, UnknownHandle
+from .errors import MalformedGraph, UniverseFull, UnknownHandle, ValidationError
 
 SetId = int
 
@@ -92,59 +93,168 @@ def _shape_problems(children: Mapping, store_refs: Mapping) -> list[str]:
     return problems
 
 
-def _refine(nodes, kids, consts):
-    """Coarsest partition of ``nodes`` stable under the edge map ``kids``.
+def refine_ranks(nodes, kids, key) -> dict:
+    """Ranked coarsest stable refinement of the blocks of equal ``key``.
 
-    ``consts[n]`` is the constant part of ``n``'s children; only nodes
-    with equal constants may share a block.  Returns a dict node -> block
-    id; blocks realize the maximum bisimulation that respects them.
+    ``kids[n]`` lists the children of node ``n``, every one of them a
+    node, and ``key[n]`` is any sortable value.  The order is that of
+    iterated exact partition refinement: start with the blocks of equal
+    key in key order, and in each round order the members of every block
+    by the sorted tuple of the blocks their children lie in, until a
+    round splits nothing.  Returns node -> dense index of its final
+    block.  Two nodes share a block iff the largest bisimulation that
+    respects ``key`` relates them, and the ranks depend only on the
+    graph and the keys, never on how the nodes are named.
+
+    Members of a block hit the same blocks of the previous round, so a
+    round only re-keys the parents of blocks that have just split, found
+    by scanning the in-edges of every piece but the largest (Hopcroft's
+    rule), with per-parent edge counts standing in for the largest
+    piece.  A node without children hits no block at all, so the first
+    round keys those apart by hand.  A block of one node can never split
+    again, so it keeps no counts.
+
+    Blocks keep their order as positions: a block of m members holds the
+    positions lo .. lo + m - 1 of the order built so far, and a split
+    hands them out to its pieces in order, so no label is ever
+    renumbered.
+
+    Raises :class:`ValidationError` if a child is not a node.
     """
+    preds: dict = {n: [] for n in nodes}
+    degree: dict = {}
+    for n in preds:
+        ks = kids[n]
+        for c in ks:
+            ps = preds.get(c)
+            if ps is None:
+                raise ValidationError("vertex set is not element-closed")
+            ps.append(n)
+        if ks:
+            degree[n] = len(ks)
+
+    # Per block id: members, the position lo of its first member in the
+    # order so far and, for each parent, how many of its children lie in
+    # the block.  top[p] is the last block that p's children lie in.
+    block_of = dict.fromkeys(preds, 0)
+    members = [set(preds)]
+    lo = [0]
+    count: list[dict | None] = [degree]
+    top = dict.fromkeys(degree, 0)
+
+    def split(b: int, groups: list, rest: int) -> list[int]:
+        """Replace block ``b`` by ``groups`` in that order, where None
+        stands for the ``rest`` members of ``b`` in no listed group.
+        The largest piece keeps id ``b``; returns the piece ids."""
+        sizes = [rest if g is None else len(g) for g in groups]
+        big = sizes.index(max(sizes))
+        if groups[big] is None:
+            for g in groups:
+                if g is not None:
+                    members[b].difference_update(g)
+        else:
+            if rest:
+                others = members[b].difference(*(g for g in groups if g is not None))
+                groups = [others if g is None else g for g in groups]
+            members[b] = set(groups[big])
+        start = lo[b]
+        pieces = []
+        for j, g in enumerate(groups):
+            piece = b
+            if j != big:
+                piece = len(members)
+                members.append(set(g))
+                lo.append(0)
+                count.append(None)
+                for n in g:
+                    block_of[n] = piece
+            lo[piece] = start
+            start += sizes[j]
+            pieces.append(piece)
+        return pieces
+
     by_key: dict = {}
-    for n in nodes:
-        by_key.setdefault(consts[n], []).append(n)
+    for n in preds:
+        by_key.setdefault(key[n], []).append(n)
+    splitters: list[tuple[int, list[int]]] = []
+    if len(by_key) > 1:
+        splitters.append((0, split(0, [by_key[k] for k in sorted(by_key)], 0)))
+    sinks = [n for n in preds if n not in degree]
 
-    blocks: dict[int, set] = {}
-    block_of: dict = {}
-    for i, key in enumerate(sorted(by_key)):
-        members = set(by_key[key])
-        blocks[i] = members
-        for n in members:
-            block_of[n] = i
-    next_id = len(blocks)
+    while splitters or sinks:
+        # A parent's key is sparse: one entry per split block whose small
+        # pieces it hits, in block order.  The entry's segment lists the
+        # pieces hit, then a sentinel that stands for what follows in the
+        # full tuple: nothing (below every piece) if this is the last
+        # block the parent hits, a later block (above every piece)
+        # otherwise.  Members that skip a split block's small pieces hit
+        # its largest piece only, so each entry is signed by how its
+        # segment compares with that default, and the signed entries
+        # plus the (0,) terminator order parents as the full tuples do.
+        # In the first round a node without children has the empty
+        # tuple, which the entry () puts below every other key.
+        splitters.sort(key=lambda sp: lo[sp[0]])
+        entries: dict = {n: [()] for n in sinks}
+        sinks = []
+        for c, pieces in splitters:
+            label = lo[c]
+            pos = {b: i for i, b in enumerate(pieces)}
+            rest = count[c]
+            hits: dict = {}
+            for i, b in enumerate(pieces):
+                if b == c:
+                    continue
+                here: dict = {}
+                for v in members[b]:
+                    for p in preds[v]:
+                        here[p] = here.get(p, 0) + 1
+                if len(members[b]) > 1:
+                    count[b] = here
+                for p, k in here.items():
+                    left = rest[p] - k
+                    if left:
+                        rest[p] = left
+                    else:
+                        del rest[p]
+                    if p in hits:
+                        hits[p].append(i)
+                    else:
+                        hits[p] = [i]
+            if len(members[c]) == 1:
+                count[c] = None
+            ic = pos[c]
+            for p, hit in hits.items():
+                if p in rest:
+                    hit.append(ic)
+                    hit.sort()
+                if top[p] == c:
+                    top[p] = pieces[hit[-1]]
+                sentinel = -1 if top[p] in pos else len(pieces)
+                seg = (*hit, sentinel)
+                entry = (-1, label, seg) if seg < (ic, sentinel) else (1, -label, seg)
+                if p in entries:
+                    entries[p].append(entry)
+                else:
+                    entries[p] = [entry]
 
-    parents: dict = {n: [] for n in nodes}
-    for n in nodes:
-        for c in kids[n]:
-            parents[c].append(n)
+        touched: dict[int, list] = {}
+        for p, es in entries.items():
+            es.append((0,))
+            touched.setdefault(block_of[p], []).append(p)
+        splitters = []
+        for b, ps in touched.items():
+            groups: dict[tuple, list | None] = {}
+            for p in ps:
+                groups.setdefault(tuple(entries[p]), []).append(p)
+            rest = len(members[b]) - len(ps)
+            if rest:
+                groups[((0,),)] = None
+            if len(groups) > 1:
+                ordered = [groups[k] for k in sorted(groups)]
+                splitters.append((b, split(b, ordered, rest)))
 
-    work = deque(blocks)
-    while work:
-        b = work.popleft()
-        splitter = blocks.get(b)
-        if splitter is None:
-            continue
-        pred = set()
-        for n in splitter:
-            pred.update(parents[n])
-        touched: dict[int, set] = {}
-        for p in pred:
-            touched.setdefault(block_of[p], set()).add(p)
-        for tb, hit in touched.items():
-            whole = blocks[tb]
-            if len(hit) == len(whole):
-                continue
-            rest = whole - hit
-            del blocks[tb]
-            i1, i2 = next_id, next_id + 1
-            next_id += 2
-            blocks[i1], blocks[i2] = hit, rest
-            for x in hit:
-                block_of[x] = i1
-            for x in rest:
-                block_of[x] = i2
-            work.append(i1)
-            work.append(i2)
-    return block_of
+    rank = {b: i for i, b in enumerate(sorted(range(len(lo)), key=lo.__getitem__))}
+    return {n: rank[block_of[n]] for n in preds}
 
 
 def _sccs(nodes, kids):
@@ -411,10 +521,10 @@ class Universe:
         Every node of the piece lies on a membership cycle, so it can
         only equal a non-well-founded stored set.  Candidate stored sets
         are looked up by structural color, closed downward through their
-        non-well-founded descendants, and refined jointly with the piece;
-        everything else acts as constants.  That one refinement also
-        collapses the piece internally: its bisimilar nodes share a block
-        and become one set.
+        non-well-founded descendants, and refined jointly with the piece
+        by :func:`refine_ranks`, keyed by everything else as constants.
+        That one refinement also collapses the piece internally: its
+        bisimilar nodes share a block and become one set.
 
         Colors only find candidates.  While the store holds no
         non-well-founded set there are none, so the piece is refined
@@ -449,49 +559,34 @@ class Universe:
             stack.extend(e for e in self._elems[s]
                          if not self._wf[e] and e not in region)
 
-        cnodes = [("c", n) for n in comp]
-        snodes = [("s", i) for i in sorted(region)]
+        # Piece node i is node base + i, a region set is its own handle.
+        base = len(self._elems)
+        ids = {n: base + i for i, n in enumerate(comp)}
         kids2 = {}
         consts = {}
         for n in comp:
-            kids2[("c", n)] = ([("c", c) for c in internal[n]] +
-                               [("s", r) for r in external[n] if r in region])
-            consts[("c", n)] = tuple(r for r in external[n] if r not in region)
-        for i in sorted(region):
-            kids2[("s", i)] = [("s", t) for t in self._elems[i] if not self._wf[t]]
-            consts[("s", i)] = tuple(t for t in self._elems[i] if self._wf[t])
+            kids2[ids[n]] = ([ids[c] for c in internal[n]] +
+                             [r for r in external[n] if r in region])
+            consts[ids[n]] = tuple(r for r in external[n] if r not in region)
+        for s in region:
+            kids2[s] = [t for t in self._elems[s] if not self._wf[t]]
+            consts[s] = tuple(t for t in self._elems[s] if self._wf[t])
 
-        block2 = _refine(cnodes + snodes, kids2, consts)
+        rank = refine_ranks(kids2.keys(), kids2, consts)
 
-        groups: dict[int, list] = {}
-        for m in cnodes + snodes:
-            groups.setdefault(block2[m], []).append(m)
-
-        value: dict[int, SetId] = {}
-        fresh_blocks = []
-        for b, members in groups.items():
-            stored = [m[1] for m in members if m[0] == "s"]
-            cluster = [m[1] for m in members if m[0] == "c"]
-            assert len(stored) <= 1, "store was not bisimulation-minimal"
-            if not cluster:
-                continue
-            if stored:
-                value[b] = stored[0]
-            else:
-                fresh_blocks.append((min(cluster), b))
-        fresh_blocks.sort()
-
-        base = len(self._elems)
-        for offset, (_, b) in enumerate(fresh_blocks):
-            value[b] = base + offset
-
-        records = []
-        for rep, _ in fresh_blocks:
-            elems = set(external[rep])
-            elems.update(value[block2[("c", c)]] for c in internal[rep])
-            records.append(tuple(sorted(elems)))
-        self._append_cyclic_batch(
-            records, [tuple(col[rep]) if lookup else None for rep, _ in fresh_blocks])
-
+        # A block with a stored set is that set; the other blocks are
+        # minted in order of their smallest picture node.
+        value = {rank[s]: s for s in region}
+        assert len(value) == len(region), "store was not bisimulation-minimal"
+        fresh = []
         for n in comp:
-            resolved[n] = value[block2[("c", n)]]
+            b = rank[ids[n]]
+            if b not in value:
+                value[b] = base + len(fresh)
+                fresh.append(n)
+            resolved[n] = value[b]
+
+        records = [tuple(sorted({*external[n], *(resolved[c] for c in internal[n])}))
+                   for n in fresh]
+        self._append_cyclic_batch(
+            records, [tuple(col[n]) if lookup else None for n in fresh])

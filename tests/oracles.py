@@ -110,6 +110,27 @@ def naive_structural_ranks(u, vertices):
     return color
 
 
+def naive_refine_ranks(nodes, kids, key):
+    """Ranked coarsest stable refinement of the blocks of equal ``key``.
+
+    Dense ranks of the keys, then full rounds that re-sign every node
+    by (its color, the sorted colors of its children) until a round
+    changes nothing; the reference for
+    ``hyperset.universe.refine_ranks``.
+    """
+    nodes = list(dict.fromkeys(nodes))
+    order = {k: i for i, k in enumerate(sorted({key[n] for n in nodes}))}
+    color = {n: order[key[n]] for n in nodes}
+    while True:
+        sigs = {n: (color[n], tuple(sorted({color[c] for c in kids[n]})))
+                for n in nodes}
+        order = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
+        fresh = {n: order[sigs[n]] for n in nodes}
+        if fresh == color:
+            return color
+        color = fresh
+
+
 def naive_double_component(u, s, start):
     """Double-edge component of ``start`` in a slice, with its edges.
 

@@ -155,6 +155,15 @@ def test_bit_witness_soundness_sweep():
             assert not bit_adjacent(z, b)
 
 
+def test_game_witness_falls_back_to_bit_witness():
+    # every small vertex and every small fresh top bit is taken by U
+    witness = bit_graph_oracle().witness
+    us = range(4096)
+    assert witness(us, []) == bit_witness(us, []) == (1 << 4097) - 1
+    with pytest.raises(ContractViolation):
+        witness(us, [5_000_000])
+
+
 # -- back-and-forth games ----------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hyperset import serialize
 from hyperset.errors import ValidationError
 from hyperset.flat import FlatSystem, solve
 from hyperset.reducts import closure, undirect
@@ -51,6 +52,23 @@ def test_numeral_detection(u):
     assert numeral_of(u, numerals[10]) == 10
     assert numeral_of(u, u.make_set(numerals[1:])) is None
     assert len(u) == size + 1
+
+
+def test_numerals_past_the_probe_cap_print_as_decimals(u, monkeypatch):
+    big = u.vn(4097)
+    assert numeral_of(u, big) == 4097
+    assert wf_literal(u, big, numerals=True) == "4097"
+    system = FlatSystem(atoms={"a": big}, equations=[("x", frozenset({"x", "a"}))])
+    assert format_system(u, system) == "atom a = 4097\nx = {a,x}\n"
+    # Both orders over the closure of vn(4097) (8.4 million memberships)
+    # take most of a minute and decide nothing for one atom and one
+    # equation, so stand-ins keep this to the atom printer.
+    monkeypatch.setattr(serialize, "structural_ranks",
+                        lambda u, vs: dict.fromkeys(vs, 0))
+    monkeypatch.setattr(serialize, "wf_code_index",
+                        lambda u, ids: dict.fromkeys(ids, 0))
+    x = solve(u, system)["x"]
+    assert normal_form(u, [("x", x)]) == "atom a0 = 4097\nx = {a0,x}\n"
 
 
 def test_serialization_never_grows_the_store(u):

@@ -4,16 +4,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperset.errors import MalformedGraph, UniverseFull, UnknownHandle
+from hyperset.errors import MalformedGraph, UniverseFull, UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
 from hyperset.sysfile import parse_set_literal, parse_system
-from hyperset.universe import Apg, Universe
+from hyperset.universe import Apg, Universe, refine_ranks
 
 from oracles import (
     apgs_bisimilar,
     bisimilar_variant,
     dfs_has_reachable_cycle,
     distinct_pairs_bisimilar,
+    naive_refine_ranks,
     picture_of,
     random_apg,
 )
@@ -392,6 +393,50 @@ def test_store_stays_minimal_after_random_insertions():
                 assert got[i] == got[(i - off if i >= off else i) % n]
             assert len({got[i] for i in range(n)}) == n
     assert distinct_pairs_bisimilar(uni) == []
+
+
+def random_keyed_digraph(rng: random.Random):
+    """Random digraph with repeated keys, sinks, loops and copies.
+
+    Some nodes get a copy with the same key and the same children, and
+    some of those copies point at each other instead of at the
+    originals, so the graph has bisimilar nodes to merge.
+    """
+    n = rng.randint(1, 25)
+    keys = rng.choice([lambda: rng.randrange(2), lambda: rng.randrange(4),
+                       lambda: tuple(rng.sample(range(5), rng.randint(0, 2)))])
+    kids = {i: {rng.randrange(n) for _ in range(rng.randint(0, 3))} for i in range(n)}
+    key = {i: keys() for i in range(n)}
+    copy = {}
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        copy[i] = len(kids)
+        kids[copy[i]] = set(kids[i])
+        key[copy[i]] = key[i]
+    for c in copy.values():
+        if rng.random() < 0.5:
+            kids[c] = {copy.get(k, k) for k in kids[c]}
+    nodes = list(kids)
+    rng.shuffle(nodes)
+    return nodes, {x: sorted(cs) for x, cs in kids.items()}, key
+
+
+def test_refine_ranks_match_naive_on_keyed_digraphs():
+    rng = random.Random(31)
+    merged = 0
+    for _ in range(300):
+        nodes, kids, key = random_keyed_digraph(rng)
+        got = refine_ranks(nodes, kids, key)
+        assert got == naive_refine_ranks(nodes, kids, key)
+        merged += len(set(got.values())) < len(nodes)
+    assert merged > 100
+
+
+def test_refine_ranks_keys_sinks_apart():
+    # one key for all: the sink comes first, and the two loops merge
+    kids = {0: [1, 3], 1: [1], 2: [2], 3: []}
+    assert refine_ranks(kids, kids, dict.fromkeys(kids, 0)) == {0: 1, 1: 2, 2: 2, 3: 0}
+    with pytest.raises(ValidationError):
+        refine_ranks([0], {0: [1]}, {0: 0})
 
 
 @st.composite
