@@ -8,10 +8,17 @@ the sets themselves (never from handle numbers), so equal sets print
 identically regardless of how or when they were built -- that is what
 makes reparse/resolve/reserialize a fixpoint.
 
+Each order is computed only where it decides something: once a set
+has two well-founded members to list, or two non-well-founded members
+still to name (graphs: two vertices of either kind).  Until then a list
+has one order, so output is the same; a system whose every cyclic set
+is named, as ``solve`` prints it, is never ranked.
+
 Code order never materializes codes: the coding maps rank bands to
 code bands (a set of rank k+1 always codes above every set of rank k),
 so sets are indexed layer by layer, comparing descending element-index
-tuples inside each layer.
+tuples inside each layer.  Ranks take one pass in handle order, since
+a stored well-founded set always comes after its elements.
 
 Structural order is the order that iterated exact partition refinement
 gives the whole closure: each round orders the members of a block by
@@ -39,40 +46,29 @@ NU = "ν"  # ν
 def wf_code_index(u: Universe, ids) -> dict[SetId, int]:
     """Dense Ackermann-code-order indices over the closure of ``ids``."""
     todo = list(ids)
-    seen = set()
+    seen = set(todo)
     while todo:
         s = todo.pop()
-        if s in seen:
-            continue
         if not u.is_well_founded(s):
             raise ValidationError(f"set {s} is not well-founded")
-        seen.add(s)
-        todo.extend(e for e in u.elements(s) if e not in seen)
+        for e in u.elements(s):
+            if e not in seen:
+                seen.add(e)
+                todo.append(e)
 
     rank: dict[SetId, int] = {}
-    stack = [(s, False) for s in sorted(seen)]
-    while stack:
-        s, ready = stack.pop()
-        if s in rank:
-            continue
-        if ready:
-            rank[s] = 1 + max((rank[e] for e in u.elements(s)), default=-1)
-        else:
-            stack.append((s, True))
-            stack.extend((e, False) for e in u.elements(s) if e not in rank)
+    layers: dict[int, list[SetId]] = {}
+    for s in sorted(seen):  # a well-founded set comes after its elements
+        r = rank[s] = 1 + max((rank[e] for e in u.elements(s)), default=-1)
+        layers.setdefault(r, []).append(s)
 
     index: dict[SetId, int] = {}
     counter = count()
-    layers: dict[int, list[SetId]] = {}
-    for s in seen:
-        layers.setdefault(rank[s], []).append(s)
     for r in sorted(layers):
-        keyed = []
-        for s in layers[r]:
-            key = tuple(sorted((index[e] for e in u.elements(s)), reverse=True))
-            keyed.append((key, s))
-        keyed.sort()
-        for _, s in keyed:
+        layer = layers[r]
+        if len(layer) > 1:  # distinct sets have distinct keys
+            layer.sort(key=lambda s: sorted((index[e] for e in u.elements(s)), reverse=True))
+        for s in layer:
             index[s] = next(counter)
     return index
 
@@ -99,24 +95,12 @@ def structural_ranks(u: Universe, vertices) -> dict[SetId, int]:
 def numeral_of(u: Universe, s: SetId) -> int | None:
     """n when ``s`` is the von Neumann numeral n, else None.
 
-    Read-only: numerals past the store's numeral cache are probed for
-    up to 4096, never built, and a numeral that is not stored cannot be
-    ``s``.
+    One lookup: the store's numeral cache lists every stored numeral
+    (see :meth:`hyperset.universe.Universe.vn`), and vn(n) has n
+    elements.
     """
     n = len(u.elements(s))
-    if not u.is_well_founded(s):
-        return None
-    if n < len(u._vn):
-        return n if u._vn[n] == s else None
-    if n > 4096:
-        return None
-    numerals = list(u._vn)
-    while len(numerals) <= n:
-        nxt = u.find_set(numerals)
-        if nxt is None:
-            return None
-        numerals.append(nxt)
-    return n if numerals[n] == s else None
+    return n if n < len(u._vn) and u._vn[n] == s else None
 
 
 # -- set serialization -------------------------------------------------------
@@ -170,11 +154,6 @@ def normal_form(u: Universe, named_roots) -> str:
             taken_ids.add(s)
             roots.append((name, s))
 
-    cl = closure(u, [s for _, s in roots])
-    ranks = structural_ranks(u, cl.vertices)
-    wf_ids = [s for s in cl.vertices if u.is_well_founded(s)]
-    code_index = wf_code_index(u, wf_ids) if wf_ids else {}
-
     used: set[str] = set()
     names: dict[SetId, str] = {}
     name_order: dict[SetId, int] = {}
@@ -215,16 +194,27 @@ def normal_form(u: Universe, named_roots) -> str:
         register(s, name if name is not None else fresh_nu())
         queue.append(s)
 
+    # Each order is computed at most once, over the closure of the roots.
+    cl = ranks = code_index = None
     eq_lines: list[str] = []
     while queue:
         s = queue.popleft()
-        wf_children = sorted((e for e in u.elements(s) if u.is_well_founded(e)),
-                             key=code_index.__getitem__)
+        wf_children = [e for e in u.elements(s) if u.is_well_founded(e)]
         nw_children = [e for e in u.elements(s) if not u.is_well_founded(e)]
-        for e in sorted(nw_children, key=ranks.__getitem__):
-            if e not in names:
-                register(e, fresh_nu())
-                queue.append(e)
+        if len(wf_children) > 1:
+            if code_index is None:
+                cl = cl or closure(u, [r for _, r in roots]).vertices
+                code_index = wf_code_index(u, [e for e in cl if u.is_well_founded(e)])
+            wf_children.sort(key=code_index.__getitem__)
+        fresh = [e for e in nw_children if e not in names]
+        if len(fresh) > 1:
+            if ranks is None:
+                cl = cl or closure(u, [r for _, r in roots]).vertices
+                ranks = structural_ranks(u, cl)
+            fresh.sort(key=ranks.__getitem__)
+        for e in fresh:
+            register(e, fresh_nu())
+            queue.append(e)
         rhs = [atom_name(e) for e in wf_children]
         rhs.extend(names[e] for e in sorted(nw_children, key=name_order.__getitem__))
         eq_lines.append(f"{names[s]} = {{{','.join(rhs)}}}")
@@ -271,11 +261,13 @@ def emit_graph(u: Universe, graph, mode: str) -> str:
     from .rado import AckermannCoder
 
     verts = sorted(graph.vertices)
-    ranks = structural_ranks(u, closure(u, verts).vertices)
     wf = [s for s in verts if u.is_well_founded(s)]
-    code_index = wf_code_index(u, wf) if wf else {}
-    ordered = sorted(wf, key=code_index.__getitem__) + sorted(
-        (s for s in verts if not u.is_well_founded(s)), key=ranks.__getitem__)
+    nw = [s for s in verts if not u.is_well_founded(s)]
+    if len(wf) > 1:
+        wf.sort(key=wf_code_index(u, wf).__getitem__)
+    if len(nw) > 1:
+        nw.sort(key=structural_ranks(u, closure(u, verts).vertices).__getitem__)
+    ordered = wf + nw
     pos = {s: i for i, s in enumerate(ordered)}
 
     if isinstance(graph, MultiGraph):

@@ -315,7 +315,7 @@ class Universe:
         self._intern: dict[tuple[SetId, ...], SetId] = {}
         self._bucket: dict[int, list[SetId]] = {}
         self._uncolored: list[SetId] = []
-        self._vn: list[SetId] = []
+        self._vn: tuple[SetId, ...] = ()
         self._max_sets = max_sets
 
     # -- basic queries -------------------------------------------------
@@ -359,6 +359,10 @@ class Universe:
         all predate it), so no cyclic cluster can ever match it and it
         needs no structural color: a fixed per-id leaf color suffices
         for the recurrences that read it.
+
+        Every well-founded set is stored here, so the numeral cache grows
+        here: while the tuple ``_vn`` lists vn(0..k), it is the element
+        tuple of vn(k+1), and length and last element rule out the rest.
         """
         if self._max_sets is not None and len(self._elems) >= self._max_sets:
             raise UniverseFull(f"universe cap of {self._max_sets} sets reached")
@@ -368,6 +372,9 @@ class Universe:
         self._colors.append((sid,) * (COLOR_ROUNDS + 1))
         assert elems not in self._intern
         self._intern[elems] = sid
+        vn = self._vn
+        if len(elems) == len(vn) and (not vn or elems[-1] == vn[-1]) and elems == vn:
+            self._vn = vn + (sid,)
         return sid
 
     def _append_cyclic_batch(self, records, colors_list) -> None:
@@ -458,17 +465,15 @@ class Universe:
     def vn(self, n: int) -> SetId:
         """Von Neumann natural: 0 is the empty set, n+1 = n U {n}.
 
-        ``_vn`` caches vn(0), vn(1), ... in order and is strictly
-        increasing: a stored well-founded set always comes after its
-        elements, so vn(k+1) > vn(k).  The cache is therefore the sorted
-        element tuple of the next numeral, which is interned directly.
+        ``_vn`` lists every stored numeral in order, however it was built
+        (:meth:`_append` extends it).  A stored well-founded set comes after
+        its elements, so ``_vn`` is increasing: it is the sorted element
+        tuple of the next numeral, which is not stored yet.
         """
         if n < 0:
             raise ValueError("naturals only")
         while len(self._vn) <= n:
-            key = tuple(self._vn)
-            sid = self._intern.get(key)
-            self._vn.append(self._append(key, True) if sid is None else sid)
+            self._append(self._vn, True)
         return self._vn[n]
 
     def canonicalize(self, g: Apg) -> SetId:

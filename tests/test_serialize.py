@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 from hyperset import serialize
+from hyperset.cli import main
 from hyperset.errors import ValidationError
 from hyperset.flat import FlatSystem, solve
 from hyperset.reducts import closure, undirect
@@ -20,6 +22,7 @@ from hyperset.sysfile import parse_system
 from hyperset.universe import Apg, Universe
 
 from oracles import naive_structural_ranks, parse_graph_output, random_apg
+from test_golden import CASES, GOLDEN
 
 OMEGA = Apg(children={0: frozenset({0})}, root=0)
 
@@ -44,7 +47,7 @@ def test_numeral_detection(u):
     assert numeral_of(u, u.vn(7)) == 7
     odd = u.make_set([u.vn(1)])
     assert numeral_of(u, odd) is None
-    # numerals stored without going through vn are found by probing
+    # numerals stored without going through vn are in the numeral cache too
     numerals = [u.vn(k) for k in range(8)]
     while len(numerals) <= 10:
         numerals.append(u.make_set(numerals))
@@ -54,6 +57,13 @@ def test_numeral_detection(u):
     assert len(u) == size + 1
 
 
+def forbid_orders(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an order was computed where nothing is chosen")
+    monkeypatch.setattr(serialize, "structural_ranks", forbidden)
+    monkeypatch.setattr(serialize, "wf_code_index", forbidden)
+
+
 def test_numerals_past_the_probe_cap_print_as_decimals(u, monkeypatch):
     big = u.vn(4097)
     assert numeral_of(u, big) == 4097
@@ -61,14 +71,29 @@ def test_numerals_past_the_probe_cap_print_as_decimals(u, monkeypatch):
     system = FlatSystem(atoms={"a": big}, equations=[("x", frozenset({"x", "a"}))])
     assert format_system(u, system) == "atom a = 4097\nx = {a,x}\n"
     # Both orders over the closure of vn(4097) (8.4 million memberships)
-    # take most of a minute and decide nothing for one atom and one
-    # equation, so stand-ins keep this to the atom printer.
-    monkeypatch.setattr(serialize, "structural_ranks",
-                        lambda u, vs: dict.fromkeys(vs, 0))
-    monkeypatch.setattr(serialize, "wf_code_index",
-                        lambda u, ids: dict.fromkeys(ids, 0))
+    # would take most of a minute and decide nothing for one atom and
+    # one equation, so neither may be computed.
+    forbid_orders(monkeypatch)
     x = solve(u, system)["x"]
     assert normal_form(u, [("x", x)]) == "atom a0 = 4097\nx = {a0,x}\n"
+
+
+def test_solved_numeral_atom_prints_without_orders(u, monkeypatch):
+    x = solve(u, parse_system(u, "atom a = 3000\nx = {x,a}\n"))["x"]
+    forbid_orders(monkeypatch)
+    assert normal_form(u, [("x", x)]) == "atom a0 = 3000\nx = {a0,x}\n"
+
+
+def test_wf_code_index_of_a_numeral_chain_needs_no_stack(u):
+    top = u.vn(1000)
+    tracemalloc.start()
+    try:
+        index = wf_code_index(u, [top])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # a DFS stack of every membership peaks at about 32 MB
+    assert [index[u.vn(k)] for k in range(1001)] == list(range(1001))
 
 
 def test_serialization_never_grows_the_store(u):
@@ -254,3 +279,66 @@ def test_structural_ranks_match_naive_on_chorded_cycles_with_wide_atoms():
             refs.setdefault(rng.randrange(n), set()).add(wide)
         root = u.canonicalize(Apg(children=children, root=0, store_refs=refs))
         assert_ranks_match(u, closure(u, [root]).vertices)
+
+
+# -- an order is computed only where a set has a choice to make ----------------
+
+
+def reverse_order(monkeypatch, name):
+    """Make ``serialize.<name>`` return its order reversed, still dense."""
+    original = getattr(serialize, name)
+
+    def reversed_order(u, vs):
+        order = original(u, vs)
+        return {s: len(order) - 1 - i for s, i in order.items()}
+    monkeypatch.setattr(serialize, name, reversed_order)
+
+
+GOLDEN_SOLVE = sorted(name for name, argv in CASES.items() if argv[0] == "solve")
+
+
+@pytest.mark.parametrize("name", GOLDEN_SOLVE)
+def test_golden_solve_output_ignores_the_structural_order(name, monkeypatch, capsys):
+    reverse_order(monkeypatch, "structural_ranks")
+    argv = [arg.replace("{dir}", str(GOLDEN)) for arg in CASES[name]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.hs")), ids=lambda p: p.name)
+def test_solve_never_ranks(path, monkeypatch, capsys):
+    # solve names every non-well-founded set it prints
+    calls = []
+    original = serialize.structural_ranks
+    monkeypatch.setattr(serialize, "structural_ranks",
+                        lambda *args: calls.append(args) or original(*args))
+    assert main(["solve", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["structural_ranks", "wf_code_index"])
+def test_normal_form_reads_an_order_only_to_choose(u, monkeypatch, name):
+    sol = solve(u, parse_system(u, PAIR_TEXT))
+    roots = [
+        sol["x"],  # one atom and one unnamed non-well-founded child per set
+        u.make_set([sol["x"], sol["y"]]),  # two unnamed non-well-founded children
+        u.make_set([u.canonicalize(OMEGA), u.vn(1), u.make_set([u.vn(2)])]),  # two atoms
+    ]
+    before = [serialize_set(u, s) for s in roots]
+    reverse_order(monkeypatch, name)
+    changed = 1 if name == "structural_ranks" else 2
+    assert [serialize_set(u, s) == text for s, text in zip(roots, before)] == [
+        i != changed for i in range(3)]
+
+
+@pytest.mark.parametrize("name", ["structural_ranks", "wf_code_index"])
+def test_emit_graph_reads_an_order_only_to_choose(u, monkeypatch, name):
+    one_nw = solve(u, parse_system(u, "atom a = 1\nx = {x,a}\n"))["x"]
+    one_wf = solve(u, parse_system(u, "atom a = 0\nx = {y,a}\ny = {x}\n"))["x"]
+    graphs = [undirect(u, closure(u, [s]), "multi") for s in (one_nw, one_wf)]
+    before = [emit_graph(u, g, "multi") for g in graphs]
+    reverse_order(monkeypatch, name)
+    changed = 1 if name == "structural_ranks" else 0
+    assert [emit_graph(u, g, "multi") == text for g, text in zip(graphs, before)] == [
+        i != changed for i in range(2)]

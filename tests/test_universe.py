@@ -115,6 +115,69 @@ def test_vn_matches_make_set_numerals(prefix):
     assert len(new) == len(old)
 
 
+def naive_numerals(u):
+    """Stored set -> n for every stored von Neumann numeral, by decoding
+    the whole store into frozensets."""
+    canon = {}  # one object per frozenset, so equal elements compare by identity
+    nat, k = {}, frozenset()
+    for n in range(len(u) + 1):
+        nat[k] = n
+        k = canon.setdefault(k, k)
+        k = k | {k}
+    decoded = {}
+    for s in u.ids():  # a well-founded set comes after its elements
+        if u.is_well_founded(s):
+            f = frozenset(decoded[e] for e in u.elements(s))
+            decoded[s] = canon.setdefault(f, f)
+    return {s: nat[f] for s, f in decoded.items() if f in nat}
+
+
+def build_numerals(u, rng, route, k):
+    """vn(0..k) built one of the ways other than ``vn``."""
+    if route == "make_set":
+        make_set_numerals(u, k)
+    elif route == "literal":
+        parse_set_literal(u, "{" + ",".join(map(str, range(k))) + "}")  # vn(k) via make_set
+        if k < 7:  # spelled out: vn(j+1) is vn(j) with vn(j) added
+            text = "{}"
+            for _ in range(k):
+                text = text[:-1] + ("," if text != "{}" else "") + text + "}"
+            parse_set_literal(u, text)
+    elif route == "solve":
+        names = [f"n{j}" for j in range(k + 1)]
+        eqs = [(names[j], frozenset(["z", *names[1:j]])) for j in range(1, k + 1)]
+        rng.shuffle(eqs)
+        top = names[-1] if k else "z"
+        solve(u, FlatSystem(atoms={"z": u.make_set([])},
+                            equations=eqs + [("w", frozenset({"w", top}))]))
+    else:  # canonicalize_all, labels shuffled, low numerals as store refs
+        labels = rng.sample(range(100, 200), k + 1)
+        low = rng.randint(0, min(k, len(u._vn)))
+        children = {labels[j]: frozenset(labels[low:j]) for j in range(k + 1)}
+        refs = {labels[j]: frozenset(u._vn[:min(j, low)]) for j in range(k + 1)}
+        u.canonicalize_all(children, refs)
+
+
+def test_numeral_cache_lists_every_stored_numeral():
+    from hyperset.serialize import numeral_of
+    for seed in range(24):
+        rng = random.Random(seed)
+        u = Universe()
+        builds = [(route, rng.randint(0, 25)) for route in
+                  ("make_set", "literal", "solve", "pictured") for _ in range(3)]
+        rng.shuffle(builds)
+        for route, k in builds:
+            build_numerals(u, rng, route, k)
+            u.make_set([u.make_set(rng.sample(range(len(u)), 2))])  # numerals by chance only
+            decoded = naive_numerals(u)
+            assert list(u._vn) == sorted(decoded, key=decoded.get)
+        for s in u.ids():
+            assert numeral_of(u, s) == decoded.get(s)
+        size, cached = len(u), u._vn
+        assert tuple(u.vn(n) for n in range(len(cached))) == cached
+        assert len(u) == size and u._vn == cached
+
+
 def test_make_set_around_quine_atom(u):
     # The singleton of the Quine atom is the Quine atom again: x = {x}
     # is its defining equation, and the naive oracle agrees.
