@@ -24,7 +24,10 @@ Structural order is the order that iterated exact partition refinement
 gives the whole closure: each round orders the members of a block by
 the sorted tuple of the blocks their elements lie in.  The counting
 kernel :func:`hyperset.universe.refine_ranks` reproduces that order
-exactly without re-signing every set each round.
+exactly without re-signing every set each round, and takes the
+numerals in the closure as its chain: vn(k) leaves the last block in
+round k, the numerals still in it are ranked in bulk, and their k²/2
+memberships are never walked.
 """
 
 from __future__ import annotations
@@ -85,11 +88,16 @@ def structural_ranks(u: Universe, vertices) -> dict[SetId, int]:
     construction history.
 
     The rounds are those of :func:`hyperset.universe.refine_ranks`,
-    started from two blocks: the empty set, then everything else.
+    started from two blocks: the empty set, then everything else.  Its
+    chain is the numerals vn(0..k-1) among the vertices (vn(k) holds the
+    smaller ones), so the numerals still in the last block rank in bulk.
     """
     ids = sorted(vertices)
     elems = {s: u.elements(s) for s in ids}
-    return refine_ranks(ids, elems, {s: bool(es) for s, es in elems.items()})
+    k = 0
+    while k < len(u._vn) and u._vn[k] in elems:
+        k += 1
+    return refine_ranks(ids, elems, {s: bool(es) for s, es in elems.items()}, u._vn[:k])
 
 
 def numeral_of(u: Universe, s: SetId) -> int | None:

@@ -93,7 +93,7 @@ def _shape_problems(children: Mapping, store_refs: Mapping) -> list[str]:
     return problems
 
 
-def refine_ranks(nodes, kids, key) -> dict:
+def refine_ranks(nodes, kids, key, chain=()) -> dict:
     """Ranked coarsest stable refinement of the blocks of equal ``key``.
 
     ``kids[n]`` lists the children of node ``n``, every one of them a
@@ -119,11 +119,33 @@ def refine_ranks(nodes, kids, key) -> dict:
     hands them out to its pieces in order, so no label is ever
     renumbered.
 
-    Raises :class:`ValidationError` if a child is not a node.
+    ``chain`` optionally lists nodes like the von Neumann numerals:
+    ``chain[k]`` has exactly the children ``chain[:k]`` (only their
+    number is checked), ``key`` is equal on ``chain[1:]`` and not below
+    it on ``chain[0]``.  The chain's k²/2 edges are never listed, since
+    where it lies says which blocks they hit: ``chain[t:]`` share a tail
+    block, each ``chain[j]`` below t is the only chain node of its block,
+    and those blocks rise with j.  So ``chain[k]`` hits the pieces that
+    hold a chain node below k, the last in the block of ``chain[k-1]``.
+    The tail above the chain nodes just over a split gets one entry and
+    joins its group as one slice, so a round costs a few steps per split
+    chain block, not one per chain parent.
+
+    Raises :class:`ValidationError` if a child is not a node or the
+    chain breaks its contract.
     """
     preds: dict = {n: [] for n in nodes}
+    K = len(chain)
+    for k, c in enumerate(chain):
+        if c not in preds or len(kids[c]) != k or k and (
+                key[c] < key[chain[0]] if k == 1 else key[c] != key[chain[1]]):
+            raise ValidationError(f"chain node {k} is not a node with {k} children "
+                                  f"keyed like the chain")
+    in_chain = set(chain)
     degree: dict = {}
     for n in preds:
+        if n in in_chain:
+            continue
         ks = kids[n]
         for c in ks:
             ps = preds.get(c)
@@ -179,7 +201,12 @@ def refine_ranks(nodes, kids, key) -> dict:
     splitters: list[tuple[int, list[int]]] = []
     if len(by_key) > 1:
         splitters.append((0, split(0, [by_key[k] for k in sorted(by_key)], 0)))
-    sinks = [n for n in preds if n not in degree]
+    sinks = [n for n in preds if not kids[n]]
+    # The tail block holds chain[t:]; low maps it, and every block below
+    # it that holds chain[j] among other nodes, to its lowest chain index
+    # in the partition before the last round's splits.
+    t = 0
+    low = {0: 0} if K > 1 else {}
 
     while splitters or sinks:
         # A parent's key is sparse: one entry per split block whose small
@@ -196,6 +223,7 @@ def refine_ranks(nodes, kids, key) -> dict:
         splitters.sort(key=lambda sp: lo[sp[0]])
         entries: dict = {n: [()] for n in sinks}
         sinks = []
+        runs = []  # per split chain block: j, chain[j+1]'s entry, chain[j+2:]'s
         for c, pieces in splitters:
             label = lo[c]
             pos = {b: i for i, b in enumerate(pieces)}
@@ -237,16 +265,48 @@ def refine_ranks(nodes, kids, key) -> dict:
                 else:
                     entries[p] = [entry]
 
-        touched: dict[int, list] = {}
+            j = low.pop(c, None)
+            if j is not None:
+                # chain[j+1] hits the piece of chain[j] and no later block;
+                # chain[j+2:] hits it too, then the piece of chain[j+1:] if
+                # c was the tail, or else a later block
+                pa = block_of[chain[j]]
+                above = (pa,), len(pieces)
+                if j == t and j + 1 < K:
+                    pb = block_of[chain[j + 1]]
+                    above = (pa, pb), -1
+                    if pb != pa:
+                        low[pb] = t = j + 1
+                if len(members[pa]) > 1 or j == t:
+                    low[pa] = j
+                pair = []
+                for hit, sentinel in (((pa,), -1), above):
+                    seg, default = (*sorted({pos[b] for b in hit}), sentinel), (ic, sentinel)
+                    pair.append(None if seg == default else (-1, label, seg)
+                                if seg < default else (1, -label, seg))
+                runs.append((j, *pair))
+
+        bulk = ()
+        if runs:
+            start = max(t, runs[-1][0] + 2)
+            for k in [*(j for j in low.values() if j < t), *range(t, min(start, K))]:
+                es = [near if k == j + 1 else far for j, near, far in runs if j < k]
+                es = [e for e in es if e is not None]
+                if es:
+                    entries.setdefault(chain[k], []).extend(es)
+            tail_key = (*(e for _, _, e in runs if e is not None), (0,))
+            if len(tail_key) > 1:
+                bulk = chain[start:]
+
+        touched: dict[int, dict] = {}
         for p, es in entries.items():
             es.append((0,))
-            touched.setdefault(block_of[p], []).append(p)
+            touched.setdefault(block_of[p], {}).setdefault(tuple(es), []).append(p)
+        if bulk:
+            touched.setdefault(block_of[bulk[0]], {}).setdefault(tail_key, []).extend(bulk)
         splitters = []
-        for b, ps in touched.items():
-            groups: dict[tuple, list | None] = {}
-            for p in ps:
-                groups.setdefault(tuple(entries[p]), []).append(p)
-            rest = len(members[b]) - len(ps)
+        for b, groups in touched.items():
+            rest = len(members[b]) - sum(map(len, groups.values()))
             if rest:
                 groups[((0,),)] = None
             if len(groups) > 1:

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -20,6 +21,7 @@ from hyperset.serialize import (
 )
 from hyperset.sysfile import parse_system
 from hyperset.universe import Apg, Universe
+from hyperset.witnesses import PatternGraph, component, star
 
 from oracles import naive_structural_ranks, parse_graph_output, random_apg
 from test_golden import CASES, GOLDEN
@@ -279,6 +281,53 @@ def test_structural_ranks_match_naive_on_chorded_cycles_with_wide_atoms():
             refs.setdefault(rng.randrange(n), set()).add(wide)
         root = u.canonicalize(Apg(children=children, root=0, store_refs=refs))
         assert_ranks_match(u, closure(u, [root]).vertices)
+
+
+# -- the numeral chain is ranked in bulk -----------------------------------------
+
+PENTAGON_WITH_CHORD = PatternGraph(
+    size=5, edges=frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)}),
+    loops=frozenset({2}))
+
+
+def test_structural_ranks_match_naive_on_star_and_component_closures():
+    for seed in range(61):
+        u = Universe()
+        y, _ = star(u, 1 + seed % 5, atom_seed=seed)
+        assert_ranks_match(u, closure(u, [y]).vertices)
+        assert_ranks_match(u, closure(u, component(u, PENTAGON_WITH_CHORD, seed)).vertices)
+
+
+def test_structural_ranks_match_naive_on_sets_in_the_numeral_tail():
+    # x = {x, vn(0..m-1)} shares the last block with the numerals above
+    # m for about m rounds, and so do two-cycles over numeral prefixes
+    for m in range(41):
+        u = Universe()
+        x = u.canonicalize(Apg({0: frozenset({0})}, 0, {0: frozenset(map(u.vn, range(m)))}))
+        assert_ranks_match(u, closure(u, [x, u.vn(m + 5)]).vertices)
+    for a in range(0, 30, 3):
+        for b in range(0, 30, 4):
+            u = Universe()
+            refs = {0: frozenset(map(u.vn, range(a))), 1: frozenset(map(u.vn, range(b)))}
+            x = u.canonicalize(Apg({0: frozenset({1}), 1: frozenset({0})}, 0, refs))
+            assert_ranks_match(u, closure(u, [x, u.vn(31)]).vertices)
+
+
+def test_structural_ranks_match_naive_with_singleton_numeral_atoms():
+    for k in range(0, 40, 3):
+        u = Universe()
+        atom = u.make_set(u.make_set([u.vn(i)]) for i in range(k))
+        x = u.canonicalize(Apg({0: frozenset({0})}, 0, {0: frozenset({atom})}))
+        assert_ranks_match(u, closure(u, [x]).vertices)
+
+
+def test_numeral_chain_is_ranked_in_bulk(u):
+    # two million memberships, which took seconds when walked one by one
+    vertices = closure(u, [u.vn(2000)]).vertices
+    start = time.perf_counter()
+    ranks = structural_ranks(u, vertices)
+    assert time.perf_counter() - start < 2
+    assert all(ranks[u.vn(n)] == n for n in range(2001))
 
 
 # -- an order is computed only where a set has a choice to make ----------------

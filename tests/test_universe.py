@@ -502,6 +502,63 @@ def test_refine_ranks_keys_sinks_apart():
         refine_ranks([0], {0: [1]}, {0: 0})
 
 
+def random_chained_digraph(rng: random.Random):
+    """Random keyed digraph around a chain, with the chain's nodes.
+
+    Chain node k has the children ``chain[:k]`` and the other nodes
+    copy a chain node, loop over a chain prefix (``{x} | chain[:m]``
+    shares the last block with the chain above m for about m rounds),
+    extend a prefix by one node, or point anywhere.  Names are shuffled.
+    """
+    K = rng.randint(0, 30)
+    n = K + rng.randint(0, 20)
+    name = rng.sample(range(10 * n + 1), n)
+    chain = name[:K]
+    kids = {chain[k]: chain[:k] for k in range(K)}
+    key = dict.fromkeys(chain, 1)
+    if chain:
+        key[chain[0]] = rng.randrange(2)
+    for x in name[K:]:
+        m = rng.randint(0, K)
+        kind = rng.randrange(4)
+        if kind == 0:
+            kids[x], key[x] = chain[:m], key[chain[m]] if m < K else 1
+        elif kind == 1:
+            kids[x], key[x] = chain[:m] + [x], 1
+        elif kind == 2:
+            kids[x], key[x] = chain[:m] + [rng.choice(name)], rng.choice((0, 1, 1, 2))
+        else:
+            kids[x], key[x] = rng.sample(name, rng.randint(0, 4)), rng.randrange(3)
+    nodes = list(kids)
+    rng.shuffle(nodes)
+    return nodes, {x: sorted(set(cs)) for x, cs in kids.items()}, key, tuple(chain)
+
+
+def test_refine_ranks_match_naive_with_chain():
+    rng = random.Random(12)
+    shared = 0
+    for _ in range(400):
+        nodes, kids, key, chain = random_chained_digraph(rng)
+        got = refine_ranks(nodes, kids, key, chain)
+        assert got == naive_refine_ranks(nodes, kids, key)
+        ranks = {got[c] for c in chain}
+        shared += any(got[x] in ranks for x in nodes if x not in chain)
+    assert shared > 100
+
+
+def test_refine_ranks_rejects_a_broken_chain():
+    kids = {0: [], 1: [0], 2: [0, 1], 3: [1]}
+    key = dict.fromkeys(kids, 1)
+    assert refine_ranks(kids, kids, key, (0, 1, 2)) == naive_refine_ranks(kids, kids, key)
+    for chain, k in (((0, 1, 3), key),  # node 3 has one child, not two
+                     ((0, 2), key),  # node 2 has two children, not one
+                     ((0, 1, 2, 4), key),  # 4 is not a node
+                     ((0, 1, 2), {**key, 2: 2}),  # the chain above 0 is keyed apart
+                     ((0, 1, 2), {**key, 0: 2})):  # chain node 0 is keyed above the rest
+        with pytest.raises(ValidationError):
+            refine_ranks(kids, kids, k, chain)
+
+
 @st.composite
 def small_apgs(draw):
     rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
