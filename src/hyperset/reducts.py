@@ -89,35 +89,24 @@ def undirect(u: Universe, s: Slice, mode: str):
     multiplicities.  ``multi``: multiplicity 2 iff mutual membership
     between distinct sets, else 1.  ``double_only``: keep exactly the
     mutual-membership pairs and the loops.
+    Each membership is read once, closedness checked as it goes; a
+    pair met twice is a double edge, since elements never repeat.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    _check_closed(u, s)
-    verts = sorted(s.vertices)
-    pair_dirs: dict[tuple, int] = {}
-    loops = []
+    verts = frozenset(s.vertices)
+    mult: dict[tuple, int] = {}
     for x in verts:
         for e in u.elements(x):
-            if e == x:
-                loops.append(x)
-            else:
-                key = (e, x) if e < x else (x, e)
-                # count distinct directions: e in x here
-                pair_dirs[key] = pair_dirs.get(key, 0) | (1 if e < x else 2)
+            if e not in verts:
+                raise ValidationError(
+                    f"slice is not element-closed: {x} has element {e} outside it")
+            key = (e, x) if e < x else (x, e)
+            mult[key] = mult.get(key, 0) + 1
     if mode == "multi":
-        mult = {}
-        for key, dirs in pair_dirs.items():
-            mult[key] = 2 if dirs == 3 else 1
-        for x in loops:
-            mult[(x, x)] = 1
-        return MultiGraph(vertices=frozenset(verts), multiplicity=mult)
-    if mode == "loopy":
-        edges = set(pair_dirs)
-        edges.update((x, x) for x in loops)
-    else:
-        edges = {key for key, dirs in pair_dirs.items() if dirs == 3}
-        edges.update((x, x) for x in loops)
-    return LoopyGraph(vertices=frozenset(verts), edges=frozenset(edges))
+        return MultiGraph(vertices=verts, multiplicity=mult)
+    return LoopyGraph(vertices=verts, edges=frozenset(
+        key for key, m in mult.items() if mode == "loopy" or m == 2 or key[0] == key[1]))
 
 
 def has_loop(u: Universe, x: SetId) -> bool:

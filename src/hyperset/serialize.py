@@ -21,13 +21,14 @@ tuples inside each layer.  Ranks take one pass in handle order, since
 a stored well-founded set always comes after its elements.
 
 Structural order is the order that iterated exact partition refinement
-gives the whole closure: each round orders the members of a block by
-the sorted tuple of the blocks their elements lie in.  The counting
-kernel :func:`hyperset.universe.refine_ranks` reproduces that order
-exactly without re-signing every set each round, and takes the
-numerals in the closure as its chain: vn(k) leaves the last block in
-round k, the numerals still in it are ranked in bulk, and their k²/2
-memberships are never walked.
+gives a closure (any closure holding two sets orders them alike): each
+round orders the members of a block by the sorted tuple of the blocks
+their elements lie in.  The counting kernel
+:func:`hyperset.universe.refine_ranks` reproduces that order exactly
+without re-signing every set each round.  Each order walks the closure
+of the sets it is given once and stops at numerals, which are ranked in
+bulk: vn(k) holds exactly the smaller numerals, so their k²/2
+memberships are never read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from itertools import count
 
 from .errors import DomainError, ValidationError
 from .flat import FlatSystem
-from .reducts import LoopyGraph, MultiGraph, closure
+# perfbench/spans.py patches closure on this module by name; it is
+# imported only for that.
+from .reducts import LoopyGraph, MultiGraph, _walk, closure
 from .universe import SetId, Universe, refine_ranks
 
 NU = "ν"  # ν
@@ -46,22 +49,32 @@ NU = "ν"  # ν
 # -- ordering helpers -------------------------------------------------------
 
 
-def wf_code_index(u: Universe, ids) -> dict[SetId, int]:
-    """Dense Ackermann-code-order indices over the closure of ``ids``."""
-    todo = list(ids)
-    seen = set(todo)
-    while todo:
-        s = todo.pop()
-        if not u.is_well_founded(s):
-            raise ValidationError(f"set {s} is not well-founded")
-        for e in u.elements(s):
-            if e not in seen:
-                seen.add(e)
-                todo.append(e)
+def _walk_to_numerals(u: Universe, roots) -> tuple[frozenset[SetId], tuple[SetId, ...]]:
+    """The closure of ``roots`` as (its non-numerals, its numerals); the
+    numerals are ``u._vn[:k + 1]`` for the largest vn(k) met, unread."""
+    k = 0
 
-    rank: dict[SetId, int] = {}
-    layers: dict[int, list[SetId]] = {}
-    for s in sorted(seen):  # a well-founded set comes after its elements
+    def step(s: SetId):
+        nonlocal k
+        n = numeral_of(u, s)  # checks the handle
+        if n is None:
+            return u.elements(s)
+        k = max(k, n + 1)
+        return ()
+
+    walked = _walk(roots, step)
+    chain = u._vn[:k]
+    return walked.difference(chain), chain
+
+
+def wf_code_index(u: Universe, roots) -> dict[SetId, int]:
+    """Dense Ackermann-code-order indices of the well-founded sets in the
+    closure of ``roots``; vn(k) has rank k."""
+    walked, chain = _walk_to_numerals(u, roots)
+    rank = {s: r for r, s in enumerate(chain)}
+    layers = {r: [s] for s, r in rank.items()}
+    for s in sorted(s for s in walked if u.is_well_founded(s)):
+        # a well-founded set comes after its elements
         r = rank[s] = 1 + max((rank[e] for e in u.elements(s)), default=-1)
         layers.setdefault(r, []).append(s)
 
@@ -76,8 +89,8 @@ def wf_code_index(u: Universe, ids) -> dict[SetId, int]:
     return index
 
 
-def structural_ranks(u: Universe, vertices) -> dict[SetId, int]:
-    """Total order on an element-closed set of canonical handles.
+def structural_ranks(u: Universe, roots) -> dict[SetId, int]:
+    """Total order on the closure of ``roots``, canonical handles.
 
     The order is that of iterated exact partition refinement: start with
     one block, and in each round order the members of every block by the
@@ -85,19 +98,17 @@ def structural_ranks(u: Universe, vertices) -> dict[SetId, int]:
     splits nothing; the result maps each handle to the dense index of
     its final block.  Distinct handles are never bisimilar, so the blocks
     separate completely and the ranks depend only on the sets, not on
-    construction history.
+    construction history or on which roots reach them.
 
     The rounds are those of :func:`hyperset.universe.refine_ranks`,
     started from two blocks: the empty set, then everything else.  Its
-    chain is the numerals vn(0..k-1) among the vertices (vn(k) holds the
-    smaller ones), so the numerals still in the last block rank in bulk.
+    chain is the numerals in the closure, which the walk stops at, so
+    the numerals still in the last block rank in bulk.
     """
-    ids = sorted(vertices)
+    walked, chain = _walk_to_numerals(u, roots)
+    ids = sorted(walked.union(chain))
     elems = {s: u.elements(s) for s in ids}
-    k = 0
-    while k < len(u._vn) and u._vn[k] in elems:
-        k += 1
-    return refine_ranks(ids, elems, {s: bool(es) for s, es in elems.items()}, u._vn[:k])
+    return refine_ranks(ids, elems, {s: bool(es) for s, es in elems.items()}, chain)
 
 
 def numeral_of(u: Universe, s: SetId) -> int | None:
@@ -203,7 +214,7 @@ def normal_form(u: Universe, named_roots) -> str:
         queue.append(s)
 
     # Each order is computed at most once, over the closure of the roots.
-    cl = ranks = code_index = None
+    ranks = code_index = None
     eq_lines: list[str] = []
     while queue:
         s = queue.popleft()
@@ -211,14 +222,12 @@ def normal_form(u: Universe, named_roots) -> str:
         nw_children = [e for e in u.elements(s) if not u.is_well_founded(e)]
         if len(wf_children) > 1:
             if code_index is None:
-                cl = cl or closure(u, [r for _, r in roots]).vertices
-                code_index = wf_code_index(u, [e for e in cl if u.is_well_founded(e)])
+                code_index = wf_code_index(u, [r for _, r in roots])
             wf_children.sort(key=code_index.__getitem__)
         fresh = [e for e in nw_children if e not in names]
         if len(fresh) > 1:
             if ranks is None:
-                cl = cl or closure(u, [r for _, r in roots]).vertices
-                ranks = structural_ranks(u, cl)
+                ranks = structural_ranks(u, [r for _, r in roots])
             fresh.sort(key=ranks.__getitem__)
         for e in fresh:
             register(e, fresh_nu())
@@ -265,46 +274,45 @@ def emit_graph(u: Universe, graph, mode: str) -> str:
     non-well-founded in structural-rank order, and numbered from 0 in
     that order.  Labels: the Ackermann code when it fits the default
     bound, else ``wf<i>``; non-well-founded sets are ``nu<i>``.
+    Each order walks the closure of the vertices it sorts and stops at
+    numerals, so printing a graph reads no numeral's elements.
     """
     from .rado import AckermannCoder
 
-    verts = sorted(graph.vertices)
-    wf = [s for s in verts if u.is_well_founded(s)]
-    nw = [s for s in verts if not u.is_well_founded(s)]
+    wf: list[SetId] = []
+    nw: list[SetId] = []
+    for s in sorted(graph.vertices):
+        (wf if u.is_well_founded(s) else nw).append(s)
     if len(wf) > 1:
         wf.sort(key=wf_code_index(u, wf).__getitem__)
     if len(nw) > 1:
-        nw.sort(key=structural_ranks(u, closure(u, verts).vertices).__getitem__)
+        nw.sort(key=structural_ranks(u, nw).__getitem__)
     ordered = wf + nw
     pos = {s: i for i, s in enumerate(ordered)}
 
     if isinstance(graph, MultiGraph):
-        loops = {a for (a, b) in graph.multiplicity if a == b}
-        mults = {(a, b): m for (a, b), m in graph.multiplicity.items() if a != b}
+        mults = graph.multiplicity.items()
     elif isinstance(graph, LoopyGraph):
-        loops = set(graph.loops())
         default = 2 if mode == "double_only" else 1
-        mults = {e: default for e in graph.plain_edges()}
+        mults = ((e, default) for e in graph.edges)
     else:
         raise ValidationError(f"cannot emit {type(graph).__name__}")
+    loops, edges = set(), []
+    for (a, b), m in mults:
+        if a == b:
+            loops.add(a)
+        else:
+            edges.append((*sorted((pos[a], pos[b])), m))
 
     coder = AckermannCoder(u)
     lines = []
     for i, s in enumerate(ordered):
-        if u.is_well_founded(s):
+        label = f"nu{i}"
+        if i < len(wf):  # well-founded
             try:
                 label = str(coder.code(s))
             except DomainError:
                 label = f"wf{i}"
-        else:
-            label = f"nu{i}"
-        suffix = " loop" if s in loops else ""
-        lines.append(f"v {i} {label}{suffix}")
-    edge_lines = []
-    for (a, b), m in mults.items():
-        i, j = sorted((pos[a], pos[b]))
-        edge_lines.append((i, j, m))
-    for i, j, m in sorted(edge_lines):
-        lines.append(f"e {i} {j} {m}")
+        lines.append(f"v {i} {label}{' loop' if s in loops else ''}")
+    lines.extend(f"e {i} {j} {m}" for i, j, m in sorted(edges))
     return "\n".join(lines) + "\n" if lines else ""
-

@@ -9,7 +9,7 @@ from collections import deque
 import random
 
 from hyperset.errors import ValidationError
-from hyperset.reducts import LoopyGraph, undirect
+from hyperset.reducts import LoopyGraph, MultiGraph, undirect
 from hyperset.universe import Apg
 
 
@@ -276,3 +276,28 @@ def parse_graph_output(text: str):
     if [i for i, _, _ in verts] != expected:
         raise ValidationError("vertex indices must be consecutive from 0")
     return verts, edges
+
+
+def naive_undirect(u, vertices, mode):
+    """Undirected reduct of membership on ``vertices`` from pairwise
+    ``is_member``; the reference for ``hyperset.reducts.undirect``.
+
+    A pair (x, y) with x <= y is an edge when x in y or y in x, a double
+    edge when both hold (for x == y, a loop); ``loopy`` keeps every
+    edge, ``double_only`` the double ones, and ``multi`` gives double
+    edges between distinct sets multiplicity 2 and the rest 1.
+    """
+    verts = sorted(vertices)
+    mult = {}
+    for i, x in enumerate(verts):
+        for y in verts[i:]:
+            down, up = u.is_member(x, y), u.is_member(y, x)
+            if down or up:
+                mult[(x, y)] = 2 if down and up and x != y else 1
+    if mode == "multi":
+        return MultiGraph(vertices=frozenset(verts), multiplicity=mult)
+    if mode == "loopy":
+        edges = set(mult)
+    else:
+        edges = {(x, y) for x, y in mult if u.is_member(x, y) and u.is_member(y, x)}
+    return LoopyGraph(vertices=frozenset(verts), edges=frozenset(edges))

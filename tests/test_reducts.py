@@ -5,6 +5,7 @@ import pytest
 from hyperset.errors import UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
 from hyperset.reducts import (
+    MODES,
     LoopyGraph,
     MultiGraph,
     Slice,
@@ -14,9 +15,9 @@ from hyperset.reducts import (
     has_loop,
     undirect,
 )
-from hyperset.universe import Apg
+from hyperset.universe import Apg, Universe
 from hyperset.witnesses import double_component_graph
-from oracles import naive_double_component, random_apg
+from oracles import naive_double_component, naive_undirect, random_apg
 
 OMEGA = Apg(children={0: frozenset({0})}, root=0)
 
@@ -74,6 +75,25 @@ def test_non_closed_slice_rejected(u):
         undirect(u, closure(u, [x]), "bogus")
     with pytest.raises(ValidationError, match="not element-closed"):
         double_component(u, Slice(vertices=frozenset({x})), x)
+
+
+def test_undirect_matches_pairwise_membership():
+    rng = random.Random(13)
+    u = Universe()
+    for _ in range(60):
+        store = list(u.ids()) if rng.random() < 0.6 else ()
+        root = u.canonicalize(random_apg(rng, max_nodes=rng.randint(1, 14), store=store))
+        sl = closure(u, [root])
+        for mode in MODES:
+            assert undirect(u, sl, mode) == naive_undirect(u, sl.vertices, mode)
+        with pytest.raises(ValidationError, match="unknown mode"):
+            undirect(u, sl, "bogus")
+        below = {e for x in sl.vertices for e in u.elements(x) if e != x}
+        if below:
+            cut = Slice(vertices=sl.vertices - {min(below)})
+            for mode in MODES:
+                with pytest.raises(ValidationError, match="not element-closed"):
+                    undirect(u, cut, mode)
 
 
 def test_has_loop_examples(u):

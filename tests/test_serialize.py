@@ -6,7 +6,7 @@ import pytest
 
 from hyperset import serialize
 from hyperset.cli import main
-from hyperset.errors import ValidationError
+from hyperset.errors import DomainError, UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
 from hyperset.reducts import closure, undirect
 from hyperset.serialize import (
@@ -172,13 +172,34 @@ def test_normal_form_well_founded_root(u):
     assert text == "atom a0 = 0\natom a1 = 1\nx = {a0,a1}\n"
 
 
-def test_structural_ranks_require_closed_input(u):
-    one = u.vn(1)
-    with pytest.raises(ValidationError):
-        structural_ranks(u, [one])
-    cl = closure(u, [one])
-    ranks = structural_ranks(u, cl.vertices)
-    assert sorted(ranks.values()) == [0, 1]
+def test_structural_ranks_walk_from_roots(u):
+    zero, one = u.vn(0), u.vn(1)
+    assert structural_ranks(u, [one]) == {zero: 0, one: 1}
+    assert structural_ranks(u, [one, zero, one]) == {zero: 0, one: 1}
+    with pytest.raises(UnknownHandle):
+        structural_ranks(u, [one, 999])
+    with pytest.raises(UnknownHandle):
+        wf_code_index(u, [999])
+
+
+def test_wf_code_index_walks_through_non_well_founded_roots():
+    from hyperset.rado import AckermannCoder
+    rng = random.Random(5)
+    u = Universe()
+    coder = AckermannCoder(u)
+    for _ in range(80):
+        store = list(u.ids()) if rng.random() < 0.7 else ()
+        roots = [u.canonicalize(random_apg(rng, max_nodes=rng.randint(2, 12), store=store))
+                 for _ in range(rng.randint(1, 3))]
+        index = wf_code_index(u, roots)
+        assert set(index) == {s for s in closure(u, roots).vertices if u.is_well_founded(s)}
+        codes = {}
+        for s in index:
+            try:
+                codes[s] = coder.code(s)
+            except DomainError:
+                pass
+        assert sorted(codes, key=index.__getitem__) == sorted(codes, key=codes.__getitem__)
 
 
 def test_format_system_round_trip(u):
@@ -243,6 +264,16 @@ def assert_ranks_match(u, vertices):
     assert structural_ranks(u, vertices) == naive_structural_ranks(u, vertices)
 
 
+def assert_ranks_match_from_roots(u, roots):
+    """Ranks from the closure and from the roots alone, against the naive
+    loop on the closure; the well-founded code index likewise."""
+    vertices = closure(u, roots).vertices
+    assert_ranks_match(u, vertices)
+    assert structural_ranks(u, roots) == naive_structural_ranks(u, vertices)
+    wf = [s for s in vertices if u.is_well_founded(s)]
+    assert wf_code_index(u, roots) == wf_code_index(u, wf)
+
+
 def test_structural_ranks_match_naive_on_random_pictures():
     rng = random.Random(20)
     u = Universe()
@@ -294,8 +325,8 @@ def test_structural_ranks_match_naive_on_star_and_component_closures():
     for seed in range(61):
         u = Universe()
         y, _ = star(u, 1 + seed % 5, atom_seed=seed)
-        assert_ranks_match(u, closure(u, [y]).vertices)
-        assert_ranks_match(u, closure(u, component(u, PENTAGON_WITH_CHORD, seed)).vertices)
+        assert_ranks_match_from_roots(u, [y])
+        assert_ranks_match_from_roots(u, component(u, PENTAGON_WITH_CHORD, seed))
 
 
 def test_structural_ranks_match_naive_on_sets_in_the_numeral_tail():
@@ -304,13 +335,13 @@ def test_structural_ranks_match_naive_on_sets_in_the_numeral_tail():
     for m in range(41):
         u = Universe()
         x = u.canonicalize(Apg({0: frozenset({0})}, 0, {0: frozenset(map(u.vn, range(m)))}))
-        assert_ranks_match(u, closure(u, [x, u.vn(m + 5)]).vertices)
+        assert_ranks_match_from_roots(u, [x, u.vn(m + 5)])
     for a in range(0, 30, 3):
         for b in range(0, 30, 4):
             u = Universe()
             refs = {0: frozenset(map(u.vn, range(a))), 1: frozenset(map(u.vn, range(b)))}
             x = u.canonicalize(Apg({0: frozenset({1}), 1: frozenset({0})}, 0, refs))
-            assert_ranks_match(u, closure(u, [x, u.vn(31)]).vertices)
+            assert_ranks_match_from_roots(u, [x, u.vn(31)])
 
 
 def test_structural_ranks_match_naive_with_singleton_numeral_atoms():
@@ -318,7 +349,7 @@ def test_structural_ranks_match_naive_with_singleton_numeral_atoms():
         u = Universe()
         atom = u.make_set(u.make_set([u.vn(i)]) for i in range(k))
         x = u.canonicalize(Apg({0: frozenset({0})}, 0, {0: frozenset({atom})}))
-        assert_ranks_match(u, closure(u, [x]).vertices)
+        assert_ranks_match_from_roots(u, [x])
 
 
 def test_numeral_chain_is_ranked_in_bulk(u):
@@ -328,6 +359,7 @@ def test_numeral_chain_is_ranked_in_bulk(u):
     ranks = structural_ranks(u, vertices)
     assert time.perf_counter() - start < 2
     assert all(ranks[u.vn(n)] == n for n in range(2001))
+    assert structural_ranks(u, [u.vn(2000)]) == ranks
 
 
 # -- an order is computed only where a set has a choice to make ----------------
@@ -391,3 +423,20 @@ def test_emit_graph_reads_an_order_only_to_choose(u, monkeypatch, name):
     changed = 1 if name == "structural_ranks" else 0
     assert [emit_graph(u, g, "multi") == text for g, text in zip(graphs, before)] == [
         i != changed for i in range(2)]
+
+
+# -- each order walks its own closure, once ------------------------------------
+
+
+@pytest.mark.parametrize("name", ["star4-seed2000", "pattern5.seed200.component",
+                                  "cycle40.multi", "cycle40.double", "witness.loopy"])
+def test_graph_and_normal_form_output_build_no_closure(name, monkeypatch, capsys):
+    # star, component and undirect graphs need both orders, and the loopy
+    # witness's normal form needs the code index; each order walks the
+    # closure of what it sorts, so serialization never calls closure
+    def forbidden(*args):
+        raise AssertionError("serialization built a closure")
+    monkeypatch.setattr(serialize, "closure", forbidden)
+    argv = [arg.replace("{dir}", str(GOLDEN)) for arg in CASES[name]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
