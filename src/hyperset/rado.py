@@ -4,7 +4,8 @@ The BIT graph has the naturals as vertices, a < b adjacent exactly when
 bit a of b is set.  Coding a hereditarily finite well-founded set by
 code(x) = sum of 2^code(y) over its elements y turns the undirected
 membership graph into precisely that graph, which is what the
-correspondence check below verifies pair by pair.
+correspondence check below verifies on every pair of codes, reading
+each membership once.
 
 ``back_and_forth`` plays the classical extension game between any two
 oracles exposing an enumeration, adjacency, loops and a witness
@@ -137,24 +138,36 @@ def coding_correspondence(u: Universe, max_code: int):
     """Compare membership adjacency with BIT adjacency on 0..max_code.
 
     Returns (number of sets, number of pairs, list of mismatching code
-    pairs); an empty list realizes the `precisely Rado's graph` claim
-    at this scale.
+    pairs (a, b), a < b, in order); an empty list realizes the
+    `precisely Rado's graph` claim at this scale.
+
+    Each membership is read once.  Row b holds a bit for every code
+    a < b whose set is adjacent to that of b, and for a < b BIT
+    adjacency is bit a of b, so the mismatches of b are the set bits of
+    row ^ b.  A set with an element of a larger code never occurs in a
+    correct coding; such a membership waits in ``later`` for the row of
+    that code.
     """
     if max_code < 0:
         raise PreconditionError("max_code must be a natural number")
     coder = AckermannCoder(u)
     sets = [coder.decode(n) for n in range(max_code + 1)]
+    codes: dict[SetId, list[int]] = {}
+    for n, s in enumerate(sets):
+        codes.setdefault(s, []).append(n)
+    later: dict[int, int] = {}
     mismatches = []
-    pairs = 0
-    for a in range(max_code + 1):
-        sa = sets[a]
-        for b in range(a + 1, max_code + 1):
-            sb = sets[b]
-            pairs += 1
-            undirected = u.is_member(sa, sb) or u.is_member(sb, sa)
-            if undirected != bit_adjacent(a, b):
-                mismatches.append((a, b))
-    return len(set(sets)), pairs, mismatches
+    for b, s in enumerate(sets):
+        row = later.pop(b, 0)
+        for e in u.elements(s):
+            for a in codes.get(e, ()):
+                if a < b:
+                    row |= 1 << a
+                elif a > b:
+                    later[a] = later.get(a, 0) | 1 << b
+        mismatches.extend((a, b) for a in bit_positions(row ^ b))
+    mismatches.sort()
+    return len(codes), max_code * (max_code + 1) // 2, mismatches
 
 
 # -- extension oracles and the game -------------------------------------

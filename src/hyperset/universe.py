@@ -28,6 +28,8 @@ construction is quiescent.  Handles are plain ints and freely copyable.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -41,6 +43,7 @@ SetId = int
 # store nodes.  Only lookup performance depends on this; matching is
 # always confirmed by exact refinement.
 COLOR_ROUNDS = 10
+_UNCOLORED = array("q", [0]) * (COLOR_ROUNDS + 1)
 
 
 @dataclass
@@ -371,7 +374,9 @@ class Universe:
     def __init__(self, max_sets: int | None = None):
         self._elems: list[tuple[SetId, ...]] = []
         self._wf: list[bool] = []
-        self._colors: list[tuple[int, ...] | None] = []
+        # The COLOR_ROUNDS + 1 colors of set s, round 0 first, are the
+        # slice s * (COLOR_ROUNDS + 1) onward; an uncolored set holds zeros.
+        self._colors = array("q")
         self._intern: dict[tuple[SetId, ...], SetId] = {}
         self._bucket: dict[int, list[SetId]] = {}
         self._uncolored: list[SetId] = []
@@ -429,7 +434,8 @@ class Universe:
         sid = len(self._elems)
         self._elems.append(elems)
         self._wf.append(wf)
-        self._colors.append((sid,) * (COLOR_ROUNDS + 1))
+        # every color is sid: its native 8 bytes, once per round
+        self._colors.frombytes(sid.to_bytes(8, sys.byteorder) * (COLOR_ROUNDS + 1))
         assert elems not in self._intern
         self._intern[elems] = sid
         vn = self._vn
@@ -452,7 +458,7 @@ class Universe:
         for sid, (key, colors) in enumerate(zip(records, colors_list), start=base):
             self._elems.append(key)
             self._wf.append(False)
-            self._colors.append(colors)
+            self._colors.extend(colors or _UNCOLORED)
             assert key not in self._intern
             self._intern[key] = sid
             if colors is None:
@@ -469,10 +475,12 @@ class Universe:
         are bisimulation-invariant, so a cyclic piece and the stored sets
         minted for it get the same ones.
         """
+        colors = self._colors
+        w = COLOR_ROUNDS + 1
         col: dict = {n: [0] for n in nodes}
-        for k in range(1, COLOR_ROUNDS + 1):
+        for k in range(1, w):
             for n in nodes:
-                sig = {self._colors[e][k - 1] for e in external[n]}
+                sig = {colors[e * w + k - 1] for e in external[n]}
                 sig.update(col[c][k - 1] for c in internal[n])
                 col[n].append(hash((col[n][k - 1], tuple(sorted(sig)))))
         return col
@@ -485,8 +493,9 @@ class Universe:
         internal = {s: [e for e in self._elems[s] if e in inside] for s in batch}
         external = {s: [e for e in self._elems[s] if e not in inside] for s in batch}
         col = self._color_rounds(batch, internal, external)
+        w = COLOR_ROUNDS + 1
         for s in batch:
-            self._colors[s] = tuple(col[s])
+            self._colors[s * w:(s + 1) * w] = array("q", col[s])
             self._bucket.setdefault(col[s][-1], []).append(s)
 
     def _intern_or_append(self, key: tuple[SetId, ...]) -> SetId:
@@ -654,4 +663,4 @@ class Universe:
         records = [tuple(sorted({*external[n], *(resolved[c] for c in internal[n])}))
                    for n in fresh]
         self._append_cyclic_batch(
-            records, [tuple(col[n]) if lookup else None for n in fresh])
+            records, [col[n] if lookup else None for n in fresh])

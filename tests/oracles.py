@@ -9,6 +9,7 @@ from collections import deque
 import random
 
 from hyperset.errors import ValidationError
+from hyperset.rado import AckermannCoder, bit_adjacent
 from hyperset.reducts import LoopyGraph, MultiGraph, undirect
 from hyperset.universe import Apg
 
@@ -129,6 +130,28 @@ def naive_refine_ranks(nodes, kids, key):
         if fresh == color:
             return color
         color = fresh
+
+
+def naive_coding_correspondence(u, max_code):
+    """Membership adjacency against BIT adjacency, probing every pair.
+
+    Decodes 0..max_code and asks ``is_member`` both ways for each pair
+    a < b; the reference for ``hyperset.rado.coding_correspondence``,
+    with the same (number of sets, number of pairs, mismatches) result.
+    """
+    coder = AckermannCoder(u)
+    sets = [coder.decode(n) for n in range(max_code + 1)]
+    mismatches = []
+    pairs = 0
+    for a in range(max_code + 1):
+        sa = sets[a]
+        for b in range(a + 1, max_code + 1):
+            sb = sets[b]
+            pairs += 1
+            undirected = u.is_member(sa, sb) or u.is_member(sb, sa)
+            if undirected != bit_adjacent(a, b):
+                mismatches.append((a, b))
+    return len(set(sets)), pairs, mismatches
 
 
 def naive_double_component(u, s, start):

@@ -16,7 +16,10 @@ choose, so it prints at once, while ranking its closure of 4.5 million
 memberships takes seconds.  ``star4-seed2000`` does have an order to
 choose, over a closure that holds the numerals up to 2003: ranking
 their two million memberships one by one took seconds, so it checks
-that the numeral chain is ranked in bulk.
+that the numeral chain is ranked in bulk.  ``rado.check20000`` compares
+membership with BIT adjacency on the 200 million pairs of codes up to
+20000, which takes minutes pair by pair, so it checks that the comparison
+reads each membership once.
 """
 
 from pathlib import Path
@@ -42,6 +45,7 @@ CASES = {
     "pattern5.seed200.component": ["component", "{dir}/pattern5.txt", "--seed", "200"],
     "witness.loopy": ["witness", "--loopy", "--u", "0,{2},{{3}}", "--v", "1,{4}"],
     "census6.seed40": ["census", "--max-n", "6", "--seed", "40"],
+    "rado.check20000": ["rado", "--check", "20000"],
     "game6.loopy1.loopy2": ["game", "--rounds", "6", "--left", "loopy:1", "--right", "loopy:2"],
 }
 

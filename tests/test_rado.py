@@ -5,6 +5,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperset import cli
 from hyperset.errors import ContractViolation, DomainError, PreconditionError
 from hyperset.rado import (
     AckermannCoder,
@@ -22,6 +23,8 @@ from hyperset.rado import (
 from hyperset.reducts import closure, undirect
 from hyperset.serialize import emit_graph
 from hyperset.universe import Apg, Universe
+
+from oracles import naive_coding_correspondence, random_apg
 
 OMEGA = Apg(children={0: frozenset({0})}, root=0)
 
@@ -111,6 +114,61 @@ def test_correspondence_sweep(u):
     assert nsets == 257
     assert pairs == 257 * 256 // 2
     assert mismatches == []
+
+
+def tampered_coding(monkeypatch, seed):
+    """A store of random well-founded sets and cyclic pieces with store
+    refs, and a code bound, with ``AckermannCoder.decode`` patched to
+    send some codes to random stored handles, repeats included."""
+    rng = random.Random(seed)
+    u = Universe()
+    pool = [u.vn(k) for k in range(rng.randint(1, 5))]
+    for _ in range(rng.randint(0, 6)):
+        pool.append(u.make_set(rng.sample(pool, rng.randint(0, len(pool)))))
+    for _ in range(rng.randint(0, 3)):
+        g = random_apg(rng, max_nodes=5, store=pool)
+        pool.extend(u.canonicalize_all(g.children, g.store_refs).values())
+    max_code = rng.randint(0, 40)
+    share = rng.random()
+    table = {n: rng.choice(pool) for n in range(max_code + 1) if rng.random() < share}
+    decode = AckermannCoder.decode
+    monkeypatch.setattr(AckermannCoder, "decode",
+                        lambda self, n: table[n] if n in table else decode(self, n))
+    return u, max_code
+
+
+def test_correspondence_equals_pairwise_oracle_on_tampered_decodes(monkeypatch):
+    for seed in range(300):
+        with monkeypatch.context() as m:
+            u, max_code = tampered_coding(m, seed)
+            expected = naive_coding_correspondence(u, max_code)
+            assert coding_correspondence(u, max_code) == expected, f"seed {seed}"
+
+
+def test_cli_rado_reports_the_first_mismatch(monkeypatch, capsys):
+    checked = 0
+    for seed in range(40):
+        with monkeypatch.context() as m:
+            u, max_code = tampered_coding(m, seed)
+            _, _, mismatches = naive_coding_correspondence(u, max_code)
+            m.setattr(cli, "_universe", lambda: u)
+            code = cli.main(["rado", "--check", str(max_code)])
+        captured = capsys.readouterr()
+        if not mismatches:
+            assert code == 0
+            continue
+        checked += 1
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: {len(mismatches)} pairs disagree with BIT "
+                                f"adjacency, first {mismatches[0]}\n")
+    assert checked > 10
+
+
+def test_correspondence_reads_memberships_not_pairs(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a pair was probed with is_member")
+    monkeypatch.setattr(Universe, "is_member", forbidden)
+    assert coding_correspondence(Universe(), 20000) == (20001, 200010000, [])
 
 
 def test_coding_keeps_no_universe_alive():
