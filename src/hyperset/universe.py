@@ -132,7 +132,11 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
     hold a chain node below k, the last in the block of ``chain[k-1]``.
     The tail above the chain nodes just over a split gets one entry and
     joins its group as one slice, so a round costs a few steps per split
-    chain block, not one per chain parent.
+    chain block, not one per chain parent.  A run of rounds in which the
+    tail alone splits, shedding chain nodes that no node off the chain
+    holds one at a time, is taken in one step, so the number of rounds
+    follows the chain nodes that other nodes hold, not the chain's
+    length.
 
     Raises :class:`ValidationError` if a child is not a node or the
     chain breaks its contract.
@@ -212,6 +216,31 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
     low = {0: 0} if K > 1 else {}
 
     while splitters or sinks:
+        # A quiet chain round: the tail c, which holds just chain[t+1:],
+        # has shed chain[t] alone and nothing else split.  While chain[t]
+        # has no parent off the chain, the next round only sheds
+        # chain[t+1] to a block of its own, so shed such a run at once,
+        # keeping two nodes in the tail so that it keeps its id.
+        c, pieces = splitters[0] if splitters else (None, None)
+        if (len(splitters) == 1 and not sinks and low == {c: t}
+                and pieces == [block_of[chain[t]], c] and len(members[pieces[0]]) == 1
+                and len(members[c]) == K - t - 1):
+            q = 0
+            while K - t - q > 3 and not preds[chain[t + q]]:
+                q += 1
+            if q:
+                shed = chain[t + 1:t + q + 1]
+                for i, n in enumerate(shed):
+                    block_of[n] = len(members)
+                    members.append({n})
+                    lo.append(lo[c] + i)
+                    count.append(None)
+                members[c].difference_update(shed)
+                lo[c] += q
+                t += q
+                low = {c: t}
+                splitters = [(c, [block_of[chain[t]], c])]
+
         # A parent's key is sparse: one entry per split block whose small
         # pieces it hits, in block order.  The entry's segment lists the
         # pieces hit, then a sentinel that stands for what follows in the

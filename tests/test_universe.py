@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -544,6 +545,66 @@ def test_refine_ranks_match_naive_with_chain():
         ranks = {got[c] for c in chain}
         shared += any(got[x] in ranks for x in nodes if x not in chain)
     assert shared > 100
+
+
+def random_sparse_chained_digraph(rng: random.Random):
+    """Random keyed digraph around a chain whose other nodes hold 0-3
+    scattered chain nodes and each other, with the chain's nodes.
+
+    Between the chain nodes that other nodes hold, the chain's tail sheds
+    one node per round with nothing else splitting: the quiet runs that
+    :func:`refine_ranks` takes in one step, which chain prefixes (as in
+    ``random_chained_digraph``) rarely leave.
+    """
+    K = rng.randint(0, 60)
+    n = K + rng.randint(0, 8)
+    name = rng.sample(range(10 * n + 1), n)
+    chain, others = name[:K], name[K:]
+    kids = {chain[k]: chain[:k] for k in range(K)}
+    key = dict.fromkeys(chain, 1)
+    if chain:
+        key[chain[0]] = rng.randrange(2)
+    for x in others:
+        kids[x] = (rng.sample(chain, rng.randint(0, min(3, K)))
+                   + rng.sample(others, rng.randint(0, min(2, len(others)))))
+        key[x] = rng.choice((0, 1, 1, 2))
+    nodes = list(kids)
+    rng.shuffle(nodes)
+    return nodes, {x: sorted(set(cs)) for x, cs in kids.items()}, key, tuple(chain)
+
+
+def test_refine_ranks_match_naive_with_a_sparsely_held_chain():
+    rng = random.Random(5)
+    for _ in range(1000):
+        nodes, kids, key, chain = random_sparse_chained_digraph(rng)
+        assert refine_ranks(nodes, kids, key, chain) == naive_refine_ranks(nodes, kids, key)
+
+
+def test_refine_ranks_rekeys_the_parents_of_a_chain_node_copy():
+    # x copies chain[m], so it is shed from the tail together with it;
+    # its parent y must then part from z, which holds chain[j] instead
+    for K in range(4, 10):
+        for m in range(K):
+            for j in range(K):
+                kids = {k: list(range(k)) for k in range(K)}
+                x, y, z = K, K + 1, K + 2
+                kids.update({x: list(range(m)), y: [x], z: [j]})
+                key = {**dict.fromkeys(kids, 1), y: 2, z: 2}
+                got = refine_ranks(kids, kids, key, tuple(range(K)))
+                assert got == naive_refine_ranks(kids, kids, key), (K, m, j)
+
+
+def test_refine_ranks_sheds_a_quiet_chain_in_bulk():
+    # one round per numeral took seconds here; the quiet runs between the
+    # chain nodes held off the chain are shed at once
+    K = 20000
+    kids = {k: range(k) for k in range(K)}
+    for i, k in enumerate((K // 3, 2 * K // 3, K - 1)):
+        kids[K + i] = [k]
+    start = time.perf_counter()
+    got = refine_ranks(kids, kids, dict.fromkeys(kids, 1), tuple(range(K)))
+    assert time.perf_counter() - start < 1
+    assert all(got[k] == k for k in range(K))
 
 
 def test_refine_ranks_rejects_a_broken_chain():
