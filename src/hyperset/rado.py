@@ -116,14 +116,12 @@ class AckermannCoder:
     def decode(self, n: int) -> SetId:
         if n < 0:
             raise DomainError("codes are naturals")
-        hit = self._decodes.get(n)
-        if hit is not None:
-            return hit
-        members = [self.decode(p) for p in bit_positions(n)]
-        s = self.u.make_set(members)
-        self._decodes[n] = s
-        self._codes.setdefault(s, n)
-        return s
+        known = self._decodes
+        if n not in known:
+            members = [known[p] if p in known else self.decode(p) for p in bit_positions(n)]
+            known[n] = self.u.make_set(members)
+            self._codes.setdefault(known[n], n)
+        return known[n]
 
 
 def ackermann_code(u: Universe, s: SetId, bound: int | None = DEFAULT_CODE_BOUND) -> int:
@@ -262,26 +260,18 @@ def back_and_forth(oa: ExtensionOracle, ob: ExtensionOracle, rounds: int) -> Par
         raise PreconditionError(
             f"oracles disagree on loop mode: {oa.kind} vs {ob.kind}")
     pairs: list[tuple] = []
-    map_a: dict = {}
-    map_b: dict = {}
-    ia = ib = 0
+    sides = ((oa, {}), (ob, {}))  # each oracle with its matched vertex -> image
+    start = [0, 0]
     for r in range(rounds):
-        if r % 2 == 0:
-            v, ia = _next_unmatched(oa, map_a, ia)
-            us = [map_a[a] for a in map_a if oa.adjacent(v, a)]
-            vs = [map_a[a] for a in map_a if not oa.adjacent(v, a)]
-            w = _checked_witness(ob, us, vs, oa.has_loop(v), map_b, r)
-            pairs.append((v, w))
-            map_a[v] = w
-            map_b[w] = v
-        else:
-            v, ib = _next_unmatched(ob, map_b, ib)
-            us = [map_b[b] for b in map_b if ob.adjacent(v, b)]
-            vs = [map_b[b] for b in map_b if not ob.adjacent(v, b)]
-            w = _checked_witness(oa, us, vs, ob.has_loop(v), map_a, r)
-            pairs.append((w, v))
-            map_a[w] = v
-            map_b[v] = w
+        side = r % 2  # this side pulls a vertex, the other answers with a witness
+        (pull, pulled), (answer, answered) = sides[side], sides[1 - side]
+        v, start[side] = _next_unmatched(pull, pulled, start[side])
+        us = [pulled[a] for a in pulled if pull.adjacent(v, a)]
+        vs = [pulled[a] for a in pulled if not pull.adjacent(v, a)]
+        w = _checked_witness(answer, us, vs, pull.has_loop(v), answered, r)
+        pulled[v] = w
+        answered[w] = v
+        pairs.append((w, v) if side else (v, w))
     return PartialIso(pairs)
 
 

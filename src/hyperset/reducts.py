@@ -8,12 +8,11 @@ accounted separately, matching how the two statistics behave.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .universe import SetId, Universe
+from .universe import SetId, Universe, _walk
 
 MODES = ("loopy", "multi", "double_only")
 
@@ -55,18 +54,6 @@ class MultiGraph:
 
     vertices: frozenset[SetId]
     multiplicity: dict[tuple, int]
-
-
-def _walk(starts: Iterable[SetId], step) -> frozenset[SetId]:
-    """Everything reachable from ``starts`` by ``step``; starts go first."""
-    queue = deque(starts)
-    seen = set(queue)
-    while queue:
-        for y in step(queue.popleft()):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
 
 
 def closure(u: Universe, seeds: Iterable[SetId]) -> Slice:

@@ -28,7 +28,9 @@ their elements lie in.  The counting kernel
 without re-signing every set each round.  Each order walks the closure
 of the sets it is given once and stops at numerals, which are ranked in
 bulk: vn(k) holds exactly the smaller numerals, so their k²/2
-memberships are never read.
+memberships are never read.  The store says which sets are numerals
+(:meth:`Universe.numeral_of`, :meth:`Universe.numerals`); how it keeps
+them is its own business.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ from itertools import count
 
 from .errors import DomainError, ValidationError
 from .flat import FlatSystem
+from .rado import AckermannCoder
 # perfbench/spans.py patches closure on this module by name; it is
 # imported only for that.
-from .reducts import LoopyGraph, MultiGraph, _walk, closure
-from .universe import SetId, Universe, refine_ranks
+from .reducts import LoopyGraph, MultiGraph, closure
+from .universe import SetId, Universe, _walk, refine_ranks
 
 NU = "ν"  # ν
 
@@ -51,19 +54,20 @@ NU = "ν"  # ν
 
 def _walk_to_numerals(u: Universe, roots) -> tuple[frozenset[SetId], tuple[SetId, ...]]:
     """The closure of ``roots`` as (its non-numerals, its numerals); the
-    numerals are ``u._vn[:k + 1]`` for the largest vn(k) met, unread."""
+    numerals are vn(0..k) for the largest vn(k) met, and their elements
+    are never read."""
     k = 0
 
     def step(s: SetId):
         nonlocal k
-        n = numeral_of(u, s)  # checks the handle
+        n = u.numeral_of(s)  # checks the handle
         if n is None:
             return u.elements(s)
         k = max(k, n + 1)
         return ()
 
     walked = _walk(roots, step)
-    chain = u._vn[:k]
+    chain = u.numerals()[:k]
     return walked.difference(chain), chain
 
 
@@ -111,17 +115,6 @@ def structural_ranks(u: Universe, roots) -> dict[SetId, int]:
     return refine_ranks(ids, elems, {s: bool(es) for s, es in elems.items()}, chain)
 
 
-def numeral_of(u: Universe, s: SetId) -> int | None:
-    """n when ``s`` is the von Neumann numeral n, else None.
-
-    One lookup: the store's numeral cache lists every stored numeral
-    (see :meth:`hyperset.universe.Universe.vn`), and vn(n) has n
-    elements.
-    """
-    n = len(u.elements(s))
-    return n if n < len(u._vn) and u._vn[n] == s else None
-
-
 # -- set serialization -------------------------------------------------------
 
 
@@ -148,7 +141,7 @@ def wf_literal(u: Universe, s: SetId, index: dict[SetId, int] | None = None,
             continue
         if not u.is_well_founded(t):
             raise ValidationError(f"set {t} is not well-founded")
-        n = numeral_of(u, t) if numerals else None
+        n = u.numeral_of(t) if numerals else None
         if n is not None:
             text[t] = str(n)
             continue
@@ -277,8 +270,6 @@ def emit_graph(u: Universe, graph, mode: str) -> str:
     Each order walks the closure of the vertices it sorts and stops at
     numerals, so printing a graph reads no numeral's elements.
     """
-    from .rado import AckermannCoder
-
     wf: list[SetId] = []
     nw: list[SetId] = []
     for s in sorted(graph.vertices):

@@ -33,7 +33,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import MalformedGraph, UniverseFull, UnknownHandle, ValidationError
 
@@ -44,6 +44,22 @@ SetId = int
 # always confirmed by exact refinement.
 COLOR_ROUNDS = 10
 _UNCOLORED = array("q", [0]) * (COLOR_ROUNDS + 1)
+
+
+def _walk(starts: Iterable, step: Callable[..., Iterable]) -> frozenset:
+    """Everything reachable from ``starts`` by ``step``; starts go first.
+
+    The one reachability walk of the package: closures, region
+    closures and connectivity checks all take it.
+    """
+    queue = deque(starts)
+    seen = set(queue)
+    while queue:
+        for y in step(queue.popleft()):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
 
 
 @dataclass
@@ -70,14 +86,7 @@ class Apg:
             problems.insert(0, f"root {self.root} is not a node")
         if problems:
             return problems
-        seen = {self.root}
-        queue = deque(seen)
-        while queue:
-            n = queue.popleft()
-            for c in self.children[n]:
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
+        seen = _walk([self.root], self.children.__getitem__)
         for n in sorted(set(self.children) - seen):
             problems.append(f"node {n} is unreachable from the root")
         return problems
@@ -574,6 +583,20 @@ class Universe:
             self._append(self._vn, True)
         return self._vn[n]
 
+    def numerals(self) -> tuple[SetId, ...]:
+        """The stored numerals vn(0), vn(1), ... in order, as an immutable
+        snapshot: later growth of the store does not change it."""
+        return self._vn
+
+    def numeral_of(self, s: SetId) -> int | None:
+        """n when ``s`` is the von Neumann numeral n, else None.
+
+        One lookup: vn(n) has n elements, and the numeral cache lists
+        every stored numeral.
+        """
+        n = len(self.elements(s))
+        return n if n < len(self._vn) and self._vn[n] == s else None
+
     def canonicalize(self, g: Apg) -> SetId:
         """SetId of the hyperset pictured by ``g``'s root.
 
@@ -652,15 +675,7 @@ class Universe:
             col = self._color_rounds(comp, internal, external)
             for n in comp:
                 candidates.update(self._bucket.get(col[n][COLOR_ROUNDS], ()))
-        region: set[SetId] = set()
-        stack = sorted(candidates)
-        while stack:
-            s = stack.pop()
-            if s in region:
-                continue
-            region.add(s)
-            stack.extend(e for e in self._elems[s]
-                         if not self._wf[e] and e not in region)
+        region = _walk(candidates, lambda s: [e for e in self._elems[s] if not self._wf[e]])
 
         # Piece node i is node base + i, a region set is its own handle.
         base = len(self._elems)

@@ -26,13 +26,12 @@ from .flat import FlatSystem, solve
 from .reducts import (
     LoopyGraph,
     _double_neighbors,
-    _walk,
     closure,
     double_component,
     has_loop,
     undirect,
 )
-from .universe import SetId, Universe
+from .universe import SetId, Universe, _walk
 
 
 @dataclass
@@ -222,15 +221,7 @@ class PatternGraph:
         return [j for j in range(self.size) if j != i and self.adjacent(i, j)]
 
     def connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in self.neighbors(i):
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.size
+        return len(_walk([0], self.neighbors)) == self.size
 
     def to_loopy_graph(self) -> LoopyGraph:
         edges = set(self.edges)

@@ -83,6 +83,24 @@ def distinct_pairs_bisimilar(u):
     return sorted((a, b) for (a, b) in rel if a < b)
 
 
+def naive_numerals(u):
+    """Stored set -> n for every stored von Neumann numeral, by decoding
+    the whole store into frozensets; the reference for
+    ``Universe.numerals`` and ``Universe.numeral_of``."""
+    canon = {}  # one object per frozenset, so equal elements compare by identity
+    nat, k = {}, frozenset()
+    for n in range(len(u) + 1):
+        nat[k] = n
+        k = canon.setdefault(k, k)
+        k = k | {k}
+    decoded = {}
+    for s in u.ids():  # a well-founded set comes after its elements
+        if u.is_well_founded(s):
+            f = frozenset(decoded[e] for e in u.elements(s))
+            decoded[s] = canon.setdefault(f, f)
+    return {s: nat[f] for s, f in decoded.items() if f in nat}
+
+
 def naive_structural_ranks(u, vertices):
     """Total order on an element-closed set of canonical handles.
 

@@ -1,0 +1,36 @@
+"""Store internals stay inside ``universe.py``.
+
+How the store keeps its sets (the numeral cache, the colour buckets,
+the element tuples) is decided in ``universe.py`` alone, so that it can
+change there without touching the modules built on it.  Every other
+module reads private attributes only of its own objects (``self`` or
+``cls``); a scan of their syntax trees checks that.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hyperset"
+
+
+def foreign_private_reads(path: Path) -> list[str]:
+    """``file:line: x._name`` for each private attribute read off an
+    object other than ``self`` or ``cls``; dunders are not private."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Attribute):
+            continue
+        name = node.attr
+        if not name.startswith("_") or name.startswith("__") and name.endswith("__"):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        hits.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return hits
+
+
+def test_no_module_reads_another_objects_private_attributes():
+    paths = sorted(p for p in SRC.glob("*.py") if p.name != "universe.py")
+    assert len(paths) > 5
+    hits = [hit for p in paths for hit in foreign_private_reads(p)]
+    assert hits == []

@@ -171,6 +171,22 @@ def test_correspondence_reads_memberships_not_pairs(monkeypatch):
     assert coding_correspondence(Universe(), 20000) == (20001, 200010000, [])
 
 
+def test_correspondence_decodes_each_code_once(monkeypatch):
+    # decoding 0..N in order finds every bit's member decoded already
+    calls = []
+    decode = AckermannCoder.decode
+    monkeypatch.setattr(AckermannCoder, "decode",
+                        lambda self, n: calls.append(n) or decode(self, n))
+    u = Universe()
+    assert coding_correspondence(u, 214) == (215, 214 * 215 // 2, [])
+    assert sorted(calls) == list(range(215))
+    # out of order, a code is decoded where its bit is first met, depth
+    # first over ascending bits, and never again
+    calls.clear()
+    AckermannCoder(Universe()).decode(2 ** 11 + 2 ** 3 + 2 ** 0)
+    assert calls == [2057, 0, 3, 1, 11]
+
+
 def test_coding_keeps_no_universe_alive():
     uni = Universe()
     ref = weakref.ref(uni)

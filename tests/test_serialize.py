@@ -13,7 +13,6 @@ from hyperset.serialize import (
     emit_graph,
     format_system,
     normal_form,
-    numeral_of,
     serialize_set,
     structural_ranks,
     wf_code_index,
@@ -46,16 +45,16 @@ def test_wf_literal_of_numerals(u):
 
 
 def test_numeral_detection(u):
-    assert numeral_of(u, u.vn(7)) == 7
+    assert u.numeral_of(u.vn(7)) == 7
     odd = u.make_set([u.vn(1)])
-    assert numeral_of(u, odd) is None
+    assert u.numeral_of(odd) is None
     # numerals stored without going through vn are in the numeral cache too
     numerals = [u.vn(k) for k in range(8)]
     while len(numerals) <= 10:
         numerals.append(u.make_set(numerals))
     size = len(u)
-    assert numeral_of(u, numerals[10]) == 10
-    assert numeral_of(u, u.make_set(numerals[1:])) is None
+    assert u.numeral_of(numerals[10]) == 10
+    assert u.numeral_of(u.make_set(numerals[1:])) is None
     assert len(u) == size + 1
 
 
@@ -68,7 +67,7 @@ def forbid_orders(monkeypatch):
 
 def test_numerals_past_the_probe_cap_print_as_decimals(u, monkeypatch):
     big = u.vn(4097)
-    assert numeral_of(u, big) == 4097
+    assert u.numeral_of(big) == 4097
     assert wf_literal(u, big, numerals=True) == "4097"
     system = FlatSystem(atoms={"a": big}, equations=[("x", frozenset({"x", "a"}))])
     assert format_system(u, system) == "atom a = 4097\nx = {a,x}\n"

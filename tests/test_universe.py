@@ -15,6 +15,7 @@ from oracles import (
     bisimilar_variant,
     dfs_has_reachable_cycle,
     distinct_pairs_bisimilar,
+    naive_numerals,
     naive_refine_ranks,
     picture_of,
     random_apg,
@@ -116,23 +117,6 @@ def test_vn_matches_make_set_numerals(prefix):
     assert len(new) == len(old)
 
 
-def naive_numerals(u):
-    """Stored set -> n for every stored von Neumann numeral, by decoding
-    the whole store into frozensets."""
-    canon = {}  # one object per frozenset, so equal elements compare by identity
-    nat, k = {}, frozenset()
-    for n in range(len(u) + 1):
-        nat[k] = n
-        k = canon.setdefault(k, k)
-        k = k | {k}
-    decoded = {}
-    for s in u.ids():  # a well-founded set comes after its elements
-        if u.is_well_founded(s):
-            f = frozenset(decoded[e] for e in u.elements(s))
-            decoded[s] = canon.setdefault(f, f)
-    return {s: nat[f] for s, f in decoded.items() if f in nat}
-
-
 def build_numerals(u, rng, route, k):
     """vn(0..k) built one of the ways other than ``vn``."""
     if route == "make_set":
@@ -153,14 +137,13 @@ def build_numerals(u, rng, route, k):
                             equations=eqs + [("w", frozenset({"w", top}))]))
     else:  # canonicalize_all, labels shuffled, low numerals as store refs
         labels = rng.sample(range(100, 200), k + 1)
-        low = rng.randint(0, min(k, len(u._vn)))
+        low = rng.randint(0, min(k, len(u.numerals())))
         children = {labels[j]: frozenset(labels[low:j]) for j in range(k + 1)}
-        refs = {labels[j]: frozenset(u._vn[:min(j, low)]) for j in range(k + 1)}
+        refs = {labels[j]: frozenset(u.numerals()[:min(j, low)]) for j in range(k + 1)}
         u.canonicalize_all(children, refs)
 
 
 def test_numeral_cache_lists_every_stored_numeral():
-    from hyperset.serialize import numeral_of
     for seed in range(24):
         rng = random.Random(seed)
         u = Universe()
@@ -171,12 +154,12 @@ def test_numeral_cache_lists_every_stored_numeral():
             build_numerals(u, rng, route, k)
             u.make_set([u.make_set(rng.sample(range(len(u)), 2))])  # numerals by chance only
             decoded = naive_numerals(u)
-            assert list(u._vn) == sorted(decoded, key=decoded.get)
+            assert list(u.numerals()) == sorted(decoded, key=decoded.get)
         for s in u.ids():
-            assert numeral_of(u, s) == decoded.get(s)
-        size, cached = len(u), u._vn
+            assert u.numeral_of(s) == decoded.get(s)
+        size, cached = len(u), u.numerals()
         assert tuple(u.vn(n) for n in range(len(cached))) == cached
-        assert len(u) == size and u._vn == cached
+        assert len(u) == size and u.numerals() == cached
 
 
 def test_make_set_around_quine_atom(u):
