@@ -211,8 +211,10 @@ def normal_form(u: Universe, named_roots) -> str:
     eq_lines: list[str] = []
     while queue:
         s = queue.popleft()
-        wf_children = [e for e in u.elements(s) if u.is_well_founded(e)]
-        nw_children = [e for e in u.elements(s) if not u.is_well_founded(e)]
+        wf_children: list[SetId] = []
+        nw_children: list[SetId] = []
+        for e in u.elements(s):
+            (wf_children if u.is_well_founded(e) else nw_children).append(e)
         if len(wf_children) > 1:
             if code_index is None:
                 code_index = wf_code_index(u, [r for _, r in roots])
@@ -288,12 +290,17 @@ def emit_graph(u: Universe, graph, mode: str) -> str:
         mults = ((e, default) for e in graph.edges)
     else:
         raise ValidationError(f"cannot emit {type(graph).__name__}")
+    # edge i<j of multiplicity m (at most 2) packs into one int, which
+    # sorts as the triple (i, j, m) does
+    n = len(ordered)
     loops, edges = set(), []
     for (a, b), m in mults:
         if a == b:
             loops.add(a)
         else:
-            edges.append((*sorted((pos[a], pos[b])), m))
+            i, j = pos[a], pos[b]
+            edges.append(((i * n + j if i < j else j * n + i) << 2) | m)
+    edges.sort()
 
     coder = AckermannCoder(u)
     lines = []
@@ -305,5 +312,8 @@ def emit_graph(u: Universe, graph, mode: str) -> str:
             except DomainError:
                 label = f"wf{i}"
         lines.append(f"v {i} {label}{' loop' if s in loops else ''}")
-    lines.extend(f"e {i} {j} {m}" for i, j, m in sorted(edges))
-    return "\n".join(lines) + "\n" if lines else ""
+    if not lines:
+        return ""
+    lines.extend(f"e {(k >> 2) // n} {(k >> 2) % n} {k & 3}" for k in edges)
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)

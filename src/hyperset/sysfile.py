@@ -10,109 +10,110 @@ System files contain atom declarations, equations and comments::
 
 Set literals are naturals (von Neumann shorthand) or nested braces.
 Names match ``[A-Za-z_ν][A-Za-z0-9_ν]*``; ``ν`` is allowed so that the
-serializer's canonical names parse back.  ``atom`` is reserved.  The
-grammar is whitespace-insensitive; ``#`` comments run to end of line.
+serializer's canonical names parse back.  ``atom`` is reserved.
+``#`` comments run to end of line.  Whitespace is space, tab, CR and
+LF, and may appear between any two tokens; any other character outside
+a token or comment is an ``unexpected character`` error.  Errors are
+positioned as ``line:column``, with columns counted in characters.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .errors import ParseError
 from .flat import FlatSystem
 from .universe import SetId, Universe
 from .witnesses import PatternGraph
 
-_NAME = re.compile(r"[A-Za-z_ν][A-Za-z0-9_ν]*")
-_NAT = re.compile(r"[0-9]+")
+# One pattern splits a text into tokens and comments; any other character
+# outside whitespace (space, tab, CR, LF) is a token of its own, and an error.
+_TOKEN = re.compile(r"[{},=]|[0-9]+|[A-Za-z_ν][A-Za-z0-9_ν]*|#[^\n]*|[^ \t\r\n]")
+_KIND = {c: c for c in "{},=#"}
+_KIND.update(dict.fromkeys("0123456789", "nat"))
+_KIND.update(dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_ν", "name"))
 
 RESERVED = {"atom"}
 
 
 class _Tokens:
+    """The tokens of a text as (kind, value) pairs, ending with
+    ``("eof", "")``.  Tokens carry no position: an error recomputes the
+    line and column of the token it names with :meth:`where`."""
+
     def __init__(self, text: str):
-        self.toks: list[tuple[str, str, int, int]] = []  # kind, value, line, col
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch in " \t\r":
-                i += 1
-                col += 1
-                continue
-            if ch == "#":
-                while i < len(text) and text[i] != "\n":
-                    i += 1
-                continue
-            if ch in "{},=":
-                self.toks.append((ch, ch, line, col))
-                i += 1
-                col += 1
-                continue
-            m = _NAT.match(text, i)
-            if m:
-                self.toks.append(("nat", m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-                continue
-            m = _NAME.match(text, i)
-            if m:
-                self.toks.append(("name", m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-                continue
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.toks.append(("eof", "", line, col))
-        self.pos = 0
+        self.text = text
+        values = _TOKEN.findall(text)
+        kinds = list(map(_KIND.get, map(itemgetter(0), values)))
+        toks = list(zip(kinds, values))
+        if "#" in kinds:  # drop the comments
+            toks = [tok for tok in toks if tok[0] != "#"]
+        toks.append(("eof", ""))
+        self.toks = toks
+        if None in kinds:  # a character that starts no token
+            k = next(k for k, tok in enumerate(toks) if tok[0] is None)
+            raise self.error(f"unexpected character {toks[k][1]!r}", k)
 
-    def peek(self):
-        return self.toks[self.pos]
+    def where(self, k: int) -> tuple[int, int]:
+        """Line and column (in characters, from 1) of token ``k``.  The
+        end of input is at the end of the text, or at the ``#`` of a
+        comment that runs to it."""
+        text = self.text
+        at = None
+        for m in _TOKEN.finditer(text):
+            if m.group()[0] == "#":
+                continue
+            if k == 0:
+                at = m.start()
+                break
+            k -= 1
+        if at is None:  # end of input
+            line_start = text.rfind("\n") + 1
+            comment = text.find("#", line_start)
+            at = len(text) if comment < 0 else comment
+        line_start = text.rfind("\n", 0, at) + 1
+        return text.count("\n", 0, at) + 1, at - line_start + 1
 
-    def next(self):
-        tok = self.toks[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    def error(self, message: str, k: int) -> ParseError:
+        return ParseError(message, *self.where(k))
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
-                             tok[2], tok[3])
-        return tok
+    def expected(self, kind: str, k: int) -> ParseError:
+        return self.error(f"expected {kind!r}, found {self.toks[k][1] or 'end of input'!r}", k)
 
 
-def _parse_literal(u: Universe, toks: _Tokens) -> SetId:
+def _parse_literal(u: Universe, tokens: _Tokens, i: int) -> tuple[SetId, int]:
+    """The set literal that starts at token ``i``, and the index of the
+    token after it."""
     # Iterative, so nesting depth is bounded by memory, not the stack:
     # ``open_sets`` holds the members read so far of each unclosed brace.
+    toks = tokens.toks
     open_sets: list[list[SetId]] = []
     while True:
-        kind, value, line, col = toks.next()
+        kind, value = toks[i]
         if kind == "nat":
             s = u.vn(int(value))
         elif kind == "{":
-            if toks.peek()[0] != "}":
+            i += 1
+            if toks[i][0] != "}":
                 open_sets.append([])
                 continue
-            toks.next()
             s = u.make_set([])
         else:
-            raise ParseError(f"expected a set literal, found {value or 'end of input'!r}",
-                             line, col)
+            raise tokens.error(f"expected a set literal, found {value or 'end of input'!r}", i)
+        i += 1
         while open_sets:
             open_sets[-1].append(s)
-            if toks.peek()[0] == ",":
-                toks.next()
+            kind = toks[i][0]
+            if kind != "}":
+                if kind != ",":
+                    raise tokens.expected("}", i)
+                i += 1
                 break
-            toks.expect("}")
+            i += 1
             s = u.make_set(open_sets.pop())
         else:
-            return s
+            return s, i
 
 
 def parse_system(u: Universe, text: str) -> FlatSystem:
@@ -122,67 +123,82 @@ def parse_system(u: Universe, text: str) -> FlatSystem:
     errors (duplicates, undeclared names, atom/indeterminate clashes)
     are reported with positions.
     """
-    toks = _Tokens(text)
+    tokens = _Tokens(text)
+    toks = tokens.toks
     atoms: dict[str, SetId] = {}
-    atom_pos: dict[str, tuple[int, int]] = {}
     equations: list[tuple[str, frozenset[str]]] = []
-    eq_pos: dict[str, tuple[int, int]] = {}
-    rhs_refs: list[tuple[str, str, int, int]] = []
+    eq_pos: dict[str, int] = {}  # token index of each equation's name
 
-    while toks.peek()[0] != "eof":
-        kind, value, line, col = toks.next()
+    i = 0
+    while True:
+        kind, name = toks[i]
         if kind != "name":
-            raise ParseError(f"expected a declaration, found {value!r}", line, col)
-        if value == "atom":
-            _, name, nline, ncol = toks.expect("name")
+            if kind == "eof":
+                break
+            raise tokens.error(f"expected a declaration, found {name!r}", i)
+        if name == "atom":
+            i += 1
+            kind, name = toks[i]
+            if kind != "name":
+                raise tokens.expected("name", i)
             if name in RESERVED:
-                raise ParseError(f"{name!r} is reserved", nline, ncol)
+                raise tokens.error(f"{name!r} is reserved", i)
             if name in atoms:
-                raise ParseError(f"duplicate atom {name}", nline, ncol)
-            toks.expect("=")
-            atoms[name] = _parse_literal(u, toks)
-            atom_pos[name] = (nline, ncol)
+                raise tokens.error(f"duplicate atom {name}", i)
+            if toks[i + 1][0] != "=":
+                raise tokens.expected("=", i + 1)
+            atoms[name], i = _parse_literal(u, tokens, i + 2)
             continue
-        name = value
         if name in RESERVED:
-            raise ParseError(f"{name!r} is reserved", line, col)
+            raise tokens.error(f"{name!r} is reserved", i)
         if name in eq_pos:
-            raise ParseError(f"duplicate equation for {name}", line, col)
-        toks.expect("=")
-        toks.expect("{")
+            raise tokens.error(f"duplicate equation for {name}", i)
+        eq_pos[name] = i
+        if toks[i + 1][0] != "=":
+            raise tokens.expected("=", i + 1)
+        if toks[i + 2][0] != "{":
+            raise tokens.expected("{", i + 2)
+        i += 3
         rhs = []
-        if toks.peek()[0] != "}":
+        kind, value = toks[i]
+        if kind != "}":
             while True:
-                tok = toks.expect("name")
-                rhs.append(tok[1])
-                rhs_refs.append((name, tok[1], tok[2], tok[3]))
-                if toks.peek()[0] != ",":
+                if kind != "name":
+                    raise tokens.expected("name", i)
+                rhs.append(value)
+                kind = toks[i + 1][0]
+                if kind != ",":
+                    i += 1
                     break
-                toks.next()
-        toks.expect("}")
+                i += 2
+                kind, value = toks[i]
+            if kind != "}":
+                raise tokens.expected("}", i)
+        i += 1
         equations.append((name, frozenset(rhs)))
-        eq_pos[name] = (line, col)
 
-    declared = set(eq_pos)
-    for owner, ref, line, col in rhs_refs:
-        if ref not in declared and ref not in atoms:
-            raise ParseError(f"equation for {owner} mentions undeclared name {ref}",
-                             line, col)
-    for name in eq_pos:
+    declared = eq_pos.keys() | atoms.keys()
+    for owner, rhs in equations:
+        if not rhs <= declared:
+            # the first undeclared name in the equation, in text order
+            i = eq_pos[owner] + 3
+            while toks[i][1] in declared:
+                i += 2
+            raise tokens.error(
+                f"equation for {owner} mentions undeclared name {toks[i][1]}", i)
+    for name, i in eq_pos.items():
         if name in atoms:
-            line, col = eq_pos[name]
-            raise ParseError(f"{name} is declared both as atom and indeterminate",
-                             line, col)
+            raise tokens.error(f"{name} is declared both as atom and indeterminate", i)
     return FlatSystem(atoms=atoms, equations=equations)
 
 
 def parse_set_literal(u: Universe, text: str) -> SetId:
     """Parse a single standalone set literal (CLI argument helper)."""
-    toks = _Tokens(text)
-    s = _parse_literal(u, toks)
-    tok = toks.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+    tokens = _Tokens(text)
+    s, i = _parse_literal(u, tokens, 0)
+    kind, value = tokens.toks[i]
+    if kind != "eof":
+        raise tokens.error(f"trailing input {value!r}", i)
     return s
 
 

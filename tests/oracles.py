@@ -7,10 +7,13 @@ the fast implementations have something honest to be compared against.
 
 from collections import deque
 import random
+import re
 
-from hyperset.errors import ValidationError
+from hyperset.errors import DomainError, ParseError, ValidationError
+from hyperset.flat import FlatSystem
 from hyperset.rado import AckermannCoder, bit_adjacent
 from hyperset.reducts import LoopyGraph, MultiGraph, undirect
+from hyperset.serialize import structural_ranks, wf_code_index
 from hyperset.universe import Apg
 
 
@@ -342,3 +345,190 @@ def naive_undirect(u, vertices, mode):
     else:
         edges = {(x, y) for x, y in mult if u.is_member(x, y) and u.is_member(y, x)}
     return LoopyGraph(vertices=frozenset(verts), edges=frozenset(edges))
+
+
+# -- system files ------------------------------------------------------------
+
+_NAIVE_NAME = re.compile(r"[A-Za-z_ν][A-Za-z0-9_ν]*")
+_NAIVE_NAT = re.compile(r"[0-9]+")
+
+
+def naive_tokens(text: str):
+    """Tokens of a system file, read one character at a time, as
+    (kind, value, line, column) tuples ending with an ``eof`` token; the
+    reference for ``hyperset.sysfile._Tokens``.
+
+    Whitespace is space, tab, CR and LF; ``#`` runs to end of line and
+    advances no column; columns count characters.  Any other character
+    that starts no token raises ParseError at its position.
+    """
+    toks = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if ch in "{},=":
+            toks.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        for kind, pattern in (("nat", _NAIVE_NAT), ("name", _NAIVE_NAME)):
+            m = pattern.match(text, i)
+            if m:
+                toks.append((kind, m.group(), line, col))
+                col += len(m.group())
+                i = m.end()
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+class _NaiveParser:
+    """Recursive descent over :func:`naive_tokens`, one call per token."""
+
+    def __init__(self, u, text):
+        self.u = u
+        self.toks = naive_tokens(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        tok = self.toks[self.pos]
+        if tok[0] != "eof":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                             tok[2], tok[3])
+        return tok
+
+    def literal(self):
+        kind, value, line, col = self.next()
+        if kind == "nat":
+            return self.u.vn(int(value))
+        if kind != "{":
+            raise ParseError(f"expected a set literal, found {value or 'end of input'!r}",
+                             line, col)
+        members = []
+        if self.peek()[0] != "}":
+            members.append(self.literal())
+            while self.peek()[0] == ",":
+                self.next()
+                members.append(self.literal())
+        self.expect("}")
+        return self.u.make_set(members)
+
+
+def naive_parse_system(u, text):
+    """Reference for ``hyperset.sysfile.parse_system``."""
+    p = _NaiveParser(u, text)
+    atoms, equations, eq_pos, refs = {}, [], {}, []
+    while p.peek()[0] != "eof":
+        kind, value, line, col = p.next()
+        if kind != "name":
+            raise ParseError(f"expected a declaration, found {value!r}", line, col)
+        if value == "atom":
+            _, name, nline, ncol = p.expect("name")
+            if name == "atom":
+                raise ParseError(f"{name!r} is reserved", nline, ncol)
+            if name in atoms:
+                raise ParseError(f"duplicate atom {name}", nline, ncol)
+            p.expect("=")
+            atoms[name] = p.literal()
+            continue
+        if value == "atom":
+            raise ParseError(f"{value!r} is reserved", line, col)
+        if value in eq_pos:
+            raise ParseError(f"duplicate equation for {value}", line, col)
+        p.expect("=")
+        p.expect("{")
+        rhs = []
+        if p.peek()[0] != "}":
+            while True:
+                _, ref, rline, rcol = p.expect("name")
+                rhs.append(ref)
+                refs.append((value, ref, rline, rcol))
+                if p.peek()[0] != ",":
+                    break
+                p.next()
+        p.expect("}")
+        equations.append((value, frozenset(rhs)))
+        eq_pos[value] = (line, col)
+    for owner, ref, line, col in refs:
+        if ref not in eq_pos and ref not in atoms:
+            raise ParseError(f"equation for {owner} mentions undeclared name {ref}",
+                             line, col)
+    for name, (line, col) in eq_pos.items():
+        if name in atoms:
+            raise ParseError(f"{name} is declared both as atom and indeterminate",
+                             line, col)
+    return FlatSystem(atoms=atoms, equations=equations)
+
+
+def naive_parse_set_literal(u, text):
+    """Reference for ``hyperset.sysfile.parse_set_literal``."""
+    p = _NaiveParser(u, text)
+    s = p.literal()
+    kind, value, line, col = p.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input {value!r}", line, col)
+    return s
+
+
+# -- graph output -------------------------------------------------------------
+
+
+def naive_emit_graph(u, graph, mode):
+    """Reference for ``hyperset.serialize.emit_graph``: the same vertex
+    order and labels, with each edge kept as a sorted (i, j, m) triple."""
+    wf = sorted(s for s in graph.vertices if u.is_well_founded(s))
+    nw = sorted(s for s in graph.vertices if not u.is_well_founded(s))
+    if wf:
+        wf.sort(key=wf_code_index(u, wf).__getitem__)
+    if nw:
+        nw.sort(key=structural_ranks(u, nw).__getitem__)
+    ordered = wf + nw
+    pos = {s: i for i, s in enumerate(ordered)}
+    if isinstance(graph, MultiGraph):
+        mults = graph.multiplicity.items()
+    else:
+        default = 2 if mode == "double_only" else 1
+        mults = ((e, default) for e in graph.edges)
+    loops, edges = set(), []
+    for (a, b), m in mults:
+        if a == b:
+            loops.add(a)
+        else:
+            edges.append((*sorted((pos[a], pos[b])), m))
+    coder = AckermannCoder(u)
+    lines = []
+    for i, s in enumerate(ordered):
+        label = f"nu{i}"
+        if i < len(wf):
+            try:
+                label = str(coder.code(s))
+            except DomainError:
+                label = f"wf{i}"
+        lines.append(f"v {i} {label}{' loop' if s in loops else ''}")
+    lines.extend(f"e {i} {j} {m}" for i, j, m in sorted(edges))
+    return "\n".join(lines) + "\n" if lines else ""

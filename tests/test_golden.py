@@ -27,6 +27,15 @@ reads each membership once.
 
 Each case also runs on stores that already hold other sets, so that
 handles differ from a fresh store's: the output must not change.
+
+The ``err-*`` cases are system files that do not parse.  ``solve`` on
+each must exit 1, print nothing to stdout and print exactly the
+committed ``.err`` text to stderr, so a parse error keeps its message,
+line and column.  They cover a trailing comment with no final newline
+(the error is at the column of ``#``), a form feed and a non-ASCII
+letter (neither is whitespace or part of a name; columns count
+characters, and a tab is one column), an undeclared name and a
+duplicate equation.
 """
 
 import random
@@ -62,6 +71,10 @@ CASES = {
     "game6.loopy1.loopy2": ["game", "--rounds", "6", "--left", "loopy:1", "--right", "loopy:2"],
 }
 
+ERROR_CASES = {name: ["solve", f"{{dir}}/{name}.hs"] for name in (
+    "err-trailing-comment", "err-form-feed", "err-non-ascii", "err-undeclared",
+    "err-duplicate")}
+
 
 def check_case(name, capsys):
     argv = [arg.replace("{dir}", str(GOLDEN)) for arg in CASES[name]]
@@ -75,6 +88,16 @@ def check_case(name, capsys):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_is_byte_identical(name, capsys):
     check_case(name, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_cli_parse_error_is_byte_identical(name, capsys):
+    argv = [arg.replace("{dir}", str(GOLDEN)) for arg in ERROR_CASES[name]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
 
 
 def prefilled_universe(seed: int) -> Universe:

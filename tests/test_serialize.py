@@ -2,13 +2,14 @@ import random
 import time
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from hyperset import serialize
 from hyperset.cli import main
 from hyperset.errors import DomainError, UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
-from hyperset.reducts import closure, undirect
+from hyperset.reducts import LoopyGraph, MultiGraph, closure, undirect
 from hyperset.serialize import (
     emit_graph,
     format_system,
@@ -22,8 +23,8 @@ from hyperset.sysfile import parse_system
 from hyperset.universe import Apg, Universe
 from hyperset.witnesses import PatternGraph, component, star
 
-from oracles import naive_structural_ranks, parse_graph_output, random_apg
-from test_golden import CASES, GOLDEN
+from oracles import naive_emit_graph, naive_structural_ranks, parse_graph_output, random_apg
+from test_golden import CASES, GOLDEN, prefilled_universe
 
 OMEGA = Apg(children={0: frozenset({0})}, root=0)
 
@@ -247,6 +248,43 @@ def test_emit_graph_multi_mode(u):
     assert 1 in mult_by_pair.values()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_emit_graph_matches_the_triple_reference(data):
+    # any vertex set of stored sets, any edges and loops: emit_graph does
+    # not check that edges are memberships
+    u = prefilled_universe(data.draw(st.integers(0, 3)))
+    verts = data.draw(st.lists(st.sampled_from(sorted(u.ids())), max_size=12, unique=True))
+    mult = {}
+    if verts:
+        vertex = st.sampled_from(verts)
+        pairs = data.draw(st.dictionaries(st.tuples(vertex, vertex), st.sampled_from([1, 2]),
+                                          max_size=30))
+        mult = {(a, b): 1 if a == b else m for (a, b), m in pairs.items()}
+    graphs = [MultiGraph(vertices=frozenset(verts), multiplicity=mult),
+              LoopyGraph(vertices=frozenset(verts), edges=frozenset(mult))]
+    for graph in graphs:
+        for mode in ("multi", "loopy", "double_only"):
+            assert emit_graph(u, graph, mode) == naive_emit_graph(u, graph, mode)
+
+
+def test_emit_graph_peak_memory_per_edge(u):
+    # each edge is one int until its line is formatted, and the text is
+    # built once: about 120 B per edge, of which the lines take 68
+    sol = solve(u, parse_system(u, "atom a = 700\nx = {x,a}\ny = {x,a,y}\n"))
+    graph = undirect(u, closure(u, list(sol.values())), "multi")
+    assert len(graph.multiplicity) == 245352
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = emit_graph(u, graph, "multi")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == len(graph.vertices) + sum(a != b for a, b in graph.multiplicity)
+    assert peak / len(graph.multiplicity) < 135
+
+
 def test_parse_graph_output_validates():
     with pytest.raises(ValidationError):
         parse_graph_output("v 0 x\ne 0 0 3\n")
@@ -385,7 +423,9 @@ def test_golden_solve_output_ignores_the_structural_order(name, monkeypatch, cap
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.hs")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(p for p in GOLDEN.glob("*.hs")
+                                         if not p.name.startswith("err-")),  # do not parse
+                         ids=lambda p: p.name)
 def test_solve_never_ranks(path, monkeypatch, capsys):
     # solve names every non-well-founded set it prints
     calls = []
