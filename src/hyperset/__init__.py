@@ -35,7 +35,6 @@ from .rado import (
 from .reducts import (
     LoopyGraph,
     MultiGraph,
-    Slice,
     closure,
     double_component,
     double_degree,
@@ -43,7 +42,7 @@ from .reducts import (
     undirect,
 )
 from .serialize import emit_graph, format_system, normal_form, serialize_set
-from .sysfile import parse_pattern, parse_set_literal, parse_system
+from .sysfile import parse_pattern, parse_set_literal, parse_set_literals, parse_system
 from .universe import Apg, SetId, Universe
 from .witnesses import (
     PatternGraph,
@@ -61,7 +60,7 @@ from .witnesses import (
 __all__ = [
     "Apg", "SetId", "Universe",
     "FlatSystem", "solve", "validate",
-    "Slice", "LoopyGraph", "MultiGraph", "closure", "undirect",
+    "LoopyGraph", "MultiGraph", "closure", "undirect",
     "double_degree", "double_component", "has_loop",
     "WitnessReport", "PatternGraph",
     "arp_witness_simple", "arp_witness_loopy",
@@ -71,7 +70,7 @@ __all__ = [
     "ackermann_code", "ackermann_decode", "coding_correspondence",
     "ExtensionOracle", "PartialIso", "back_and_forth",
     "bit_graph_oracle", "hf_membership_oracle", "hyperset_loopy_oracle",
-    "parse_system", "parse_set_literal", "parse_pattern",
+    "parse_system", "parse_set_literal", "parse_set_literals", "parse_pattern",
     "serialize_set", "normal_form", "format_system", "emit_graph",
     "HypersetError", "MalformedGraph", "UnknownHandle", "UniverseFull",
     "ValidationError", "PreconditionError", "ContractViolation",

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .errors import HypersetError, PreconditionError
+from .errors import HypersetError, ParseError, PreconditionError
 from .flat import solve
 from .rado import (
     back_and_forth,
@@ -26,9 +26,11 @@ from .rado import (
     hf_membership_oracle,
     hyperset_loopy_oracle,
 )
-from .reducts import _double_neighbors, closure, has_loop, undirect
+# perfbench/spans.py patches closure and parse_set_literal on this
+# module by name; they are imported only for that.
+from .reducts import closure, double_degree, has_loop, undirect
 from .serialize import emit_graph, normal_form, serialize_set
-from .sysfile import parse_pattern, parse_set_literal, parse_system, split_literals
+from .sysfile import parse_pattern, parse_set_literal, parse_set_literals, parse_system
 from .universe import Universe
 from .witnesses import (
     component,
@@ -79,21 +81,24 @@ def cmd_undirect(args) -> int:
     u = _universe()
     solution = solve(u, parse_system(u, _read(args.file)))
     mode = "double_only" if args.mode == "double" else args.mode
-    sl = closure(u, list(solution.values()))
-    if not sl.vertices:
+    graph = undirect(u, solution.values(), mode)
+    if not graph.vertices:
         return 0
-    sys.stdout.write(emit_graph(u, undirect(u, sl, mode), mode))
+    sys.stdout.write(emit_graph(u, graph, mode))
     return 0
 
 
-def _parse_sets(u: Universe, text: str):
-    return [parse_set_literal(u, part) for part in split_literals(text)]
+def _parse_sets(u: Universe, option: str, text: str):
+    try:
+        return parse_set_literals(u, text)
+    except ParseError as exc:
+        raise HypersetError(f"{option}: {exc}") from None
 
 
 def cmd_witness(args) -> int:
     u = _universe()
-    us = _parse_sets(u, args.u)
-    vs = _parse_sets(u, args.v)
+    us = _parse_sets(u, "--u", args.u)
+    vs = _parse_sets(u, "--v", args.v)
     if args.loopy:
         report = verify_loopy_witness(u, us, vs)
         order = ["z1", "z2", "x"]
@@ -184,7 +189,7 @@ def cmd_census(args) -> int:
     degrees = []
     for n in range(args.max_n + 1):
         y, _ = star(u, n, atom_seed=args.seed)
-        d = len(_double_neighbors(u, y))
+        d = double_degree(u, y)
         degrees.append(d)
         loop = "true" if has_loop(u, y) else "false"
         sys.stdout.write(f"census n={n} double_degree={d} loop={loop}\n")

@@ -18,7 +18,7 @@ class UniverseFull(HypersetError):
 
 
 class ValidationError(HypersetError):
-    """Input data (system, slice, pattern) failed validation."""
+    """Input data (system, reduct mode, pattern) failed validation."""
 
 
 class PreconditionError(HypersetError):

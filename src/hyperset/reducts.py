@@ -1,9 +1,11 @@
-"""Undirected reducts of the membership relation on a finite slice.
+"""Undirected reducts of the membership relation on a closure.
 
-All three reducts look only at is_member on an element-closed vertex
-set, so they are stable under unrelated growth of the universe.  Double
-edges (mutual membership between distinct sets) and loops (x in x) are
-accounted separately, matching how the two statistics behave.
+Each reduct is taken on the closure of the sets it is given, the
+smallest element-closed vertex set holding them, so it looks only at
+memberships among sets that exist already and is stable under
+unrelated growth of the universe.  Double edges (mutual membership
+between distinct sets) and loops (x in x) are accounted separately,
+matching how the two statistics behave.
 """
 
 from __future__ import annotations
@@ -15,13 +17,6 @@ from .errors import ValidationError
 from .universe import SetId, Universe, _walk
 
 MODES = ("loopy", "multi", "double_only")
-
-
-@dataclass(frozen=True)
-class Slice:
-    """Element-closed window onto the universe's membership graph."""
-
-    vertices: frozenset[SetId]
 
 
 @dataclass(frozen=True)
@@ -56,40 +51,34 @@ class MultiGraph:
     multiplicity: dict[tuple, int]
 
 
-def closure(u: Universe, seeds: Iterable[SetId]) -> Slice:
+def closure(u: Universe, seeds: Iterable[SetId]) -> frozenset[SetId]:
     """Smallest element-closed vertex set containing the seeds."""
-    return Slice(vertices=_walk(seeds, u.elements))  # elements() checks each seed
+    return _walk(seeds, u.elements)  # elements() checks each seed
 
 
-def _check_closed(u: Universe, s: Slice) -> None:
-    for x in s.vertices:
-        for e in u.elements(x):
-            if e not in s.vertices:
-                raise ValidationError(
-                    f"slice is not element-closed: {x} has element {e} outside it")
-
-
-def undirect(u: Universe, s: Slice, mode: str):
-    """Undirected reduct of membership on the slice.
+def undirect(u: Universe, sets: Iterable[SetId], mode: str):
+    """Undirected reduct of membership on the closure of ``sets``.
 
     ``loopy``: edge {x,y} iff x in y or y in x, loops kept, no
     multiplicities.  ``multi``: multiplicity 2 iff mutual membership
     between distinct sets, else 1.  ``double_only``: keep exactly the
     mutual-membership pairs and the loops.
-    Each membership is read once, closedness checked as it goes; a
-    pair met twice is a double edge, since elements never repeat.
+    One walk builds the closure and reads each membership once as it
+    goes; a pair met twice is a double edge, since elements never
+    repeat.  A closed set is its own closure.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    verts = frozenset(s.vertices)
     mult: dict[tuple, int] = {}
-    for x in verts:
-        for e in u.elements(x):
-            if e not in verts:
-                raise ValidationError(
-                    f"slice is not element-closed: {x} has element {e} outside it")
+
+    def step(x: SetId):
+        elems = u.elements(x)
+        for e in elems:
             key = (e, x) if e < x else (x, e)
             mult[key] = mult.get(key, 0) + 1
+        return elems
+
+    verts = _walk(sets, step)
     if mode == "multi":
         return MultiGraph(vertices=verts, multiplicity=mult)
     return LoopyGraph(vertices=verts, edges=frozenset(
@@ -105,22 +94,18 @@ def _double_neighbors(u: Universe, x: SetId) -> list[SetId]:
     return [y for y in u.elements(x) if y != x and u.is_member(x, y)]
 
 
-def double_degree(u: Universe, s: Slice, x: SetId) -> int:
-    """Number of distinct y != x in the slice with x in y and y in x.
+def double_degree(u: Universe, x: SetId) -> int:
+    """Number of distinct y != x with x in y and y in x.
 
     Loops are excluded here and reported by :func:`has_loop`.  Double
-    neighbors of x are always elements of x, so scanning elements(x)
-    inside a closed slice sees every one of them.
+    neighbors of x are always elements of x, so they lie in every
+    element-closed set that holds x, and scanning elements(x) sees
+    every one of them.
     """
-    if x not in s.vertices:
-        raise ValidationError(f"{x} is not a vertex of the slice")
-    return sum(1 for y in _double_neighbors(u, x) if y in s.vertices)
+    return len(_double_neighbors(u, x))
 
 
-def double_component(u: Universe, s: Slice, start: SetId) -> frozenset[SetId]:
+def double_component(u: Universe, start: SetId) -> frozenset[SetId]:
     """Connected component of ``start`` in the double_only reduct, found by
     a walk that reads only the elements of the vertices it visits."""
-    _check_closed(u, s)
-    if start not in s.vertices:
-        raise ValidationError(f"{start} is not a vertex of the slice")
     return _walk([start], lambda x: _double_neighbors(u, x))

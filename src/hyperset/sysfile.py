@@ -202,25 +202,25 @@ def parse_set_literal(u: Universe, text: str) -> SetId:
     return s
 
 
-def split_literals(text: str) -> list[str]:
-    """Split a comma-separated list of literals at top-level commas."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return [p for p in parts if p]
+def parse_set_literals(u: Universe, text: str) -> list[SetId]:
+    """Parse a comma-separated list of set literals (CLI argument helper).
+
+    Blank text is the empty list; errors are positioned within ``text``.
+    """
+    tokens = _Tokens(text)
+    toks = tokens.toks
+    sets: list[SetId] = []
+    i = 0
+    while toks[0][0] != "eof":
+        s, i = _parse_literal(u, tokens, i)
+        sets.append(s)
+        if toks[i][0] != ",":
+            break
+        i += 1
+    kind, value = toks[i]
+    if kind != "eof":
+        raise tokens.error(f"trailing input {value!r}", i)
+    return sets
 
 
 def parse_pattern(text: str, fmt: str = "edges") -> PatternGraph:

@@ -50,9 +50,10 @@ def _walk(starts: Iterable, step: Callable[..., Iterable]) -> frozenset:
     """Everything reachable from ``starts`` by ``step``; starts go first.
 
     The one reachability walk of the package: closures, region
-    closures and connectivity checks all take it.
+    closures and connectivity checks all take it.  ``step`` is called
+    once on each vertex, a repeated start included.
     """
-    queue = deque(starts)
+    queue = deque(dict.fromkeys(starts))
     seen = set(queue)
     while queue:
         for y in step(queue.popleft()):

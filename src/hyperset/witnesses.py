@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 from .errors import ContractViolation, PreconditionError, ValidationError
 # perfbench/spans.py patches closure, undirect, double_component and solve
-# on this module by name; the first three are imported only for that.
+# on this module by name; closure and undirect are imported only for that.
 from .flat import FlatSystem, solve
 from .reducts import (
     LoopyGraph,
-    _double_neighbors,
     closure,
     double_component,
+    double_degree,
     has_loop,
     undirect,
 )
@@ -170,7 +170,7 @@ def star(u: Universe, n: int, atom_seed: int = 0) -> tuple[SetId, list[SetId]]:
     sol = solve(u, FlatSystem(atoms=atoms, equations=equations))
     y = sol["y"]
     xs = [sol[f"x{i}"] for i in range(n)]
-    if len(set(xs)) != n or has_loop(u, y) or len(_double_neighbors(u, y)) != n:
+    if len(set(xs)) != n or has_loop(u, y) or double_degree(u, y) != n:
         raise ContractViolation("star construction failed its post-conditions")
     return y, xs
 
@@ -275,7 +275,7 @@ def double_component_graph(u: Universe, members) -> LoopyGraph:
     """
     for m in members:
         u.elements(m)
-    comp = _walk([members[0]], lambda x: _double_neighbors(u, x))
+    comp = double_component(u, members[0])
     # y == x is a loop; a double edge is listed from its smaller end
     return LoopyGraph(vertices=comp, edges=frozenset(
         (x, y) for x in comp for y in u.elements(x)

@@ -12,7 +12,7 @@ import re
 from hyperset.errors import DomainError, ParseError, ValidationError
 from hyperset.flat import FlatSystem
 from hyperset.rado import AckermannCoder, bit_adjacent
-from hyperset.reducts import LoopyGraph, MultiGraph, undirect
+from hyperset.reducts import LoopyGraph, MultiGraph
 from hyperset.serialize import structural_ranks, wf_code_index
 from hyperset.universe import Apg
 
@@ -175,19 +175,19 @@ def naive_coding_correspondence(u, max_code):
     return len(set(sets)), pairs, mismatches
 
 
-def naive_double_component(u, s, start):
-    """Double-edge component of ``start`` in a slice, with its edges.
+def naive_double_component(u, vertices, start):
+    """Double-edge component of ``start`` among ``vertices``, with its edges.
 
-    Builds the whole double_only reduct of the slice, walks its
-    adjacency breadth-first from ``start``, then keeps the reduct's
+    Builds the whole pairwise double_only reduct on ``vertices``, walks
+    its adjacency breadth-first from ``start``, then keeps the reduct's
     edges and loops inside the component; the reference for
     ``hyperset.reducts.double_component`` and
     ``hyperset.witnesses.double_component_graph``.
     """
-    graph = undirect(u, s, "double_only")
+    graph = naive_undirect(u, vertices, "double_only")
     adj = graph.adjacency()
     if start not in adj:
-        raise ValidationError(f"{start} is not a vertex of the slice")
+        raise ValidationError(f"{start} is not among the vertices")
     seen = {start}
     queue = deque([start])
     while queue:

@@ -7,6 +7,7 @@ import pytest
 
 from hyperset import cli
 from hyperset.cli import main
+from hyperset.universe import Universe
 
 from oracles import parse_graph_output
 
@@ -87,6 +88,23 @@ def test_undirect_modes(tmp_path, capsys):
             assert sorted(m for _, _, m in edges)[-1] == 2
 
 
+@pytest.mark.parametrize("mode", ["loopy", "multi", "double"])
+@pytest.mark.parametrize("name", ["alias", "cycle40"])
+def test_undirect_reads_each_membership_once(capsys, monkeypatch, name, mode):
+    # serialization reads elements to order the vertices; up to it,
+    # undirect reads the elements of each closure vertex once
+    graphs, calls = [], []
+    monkeypatch.setattr(cli, "emit_graph", lambda u, graph, mode: graphs.append(graph) or "")
+    elements = Universe.elements
+    monkeypatch.setattr(Universe, "elements",
+                        lambda self, x: calls.append(x) or elements(self, x))
+    path = Path(__file__).resolve().parent / "golden" / f"{name}.hs"
+    code, _, err = run(capsys, "undirect", str(path), "--mode", mode)
+    assert code == 0, err
+    (graph,) = graphs
+    assert sorted(calls) == sorted(graph.vertices)
+
+
 def test_witness_simple(capsys):
     code, out, err = run(capsys, "witness", "--simple", "--u", "0,1", "--v", "2")
     assert code == 0, err
@@ -107,6 +125,24 @@ def test_witness_loopy(capsys):
 def test_witness_overlap_is_error(capsys):
     code, _, err = run(capsys, "witness", "--simple", "--u", "1", "--v", "1")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("option, text, error", [
+    ("--u", "0,{2,$}", "1:6: unexpected character '$'"),
+    ("--u", "1,,2", "1:3: expected a set literal, found ','"),
+    ("--v", "{", "1:2: expected a set literal, found 'end of input'"),
+])
+def test_witness_list_error_names_the_option(capsys, option, text, error):
+    lists = {"--u": "0", "--v": "1", option: text}
+    code, out, err = run(capsys, "witness", "--loopy", "--u", lists["--u"], "--v", lists["--v"])
+    assert (code, out, err) == (1, "", f"error: {option}: {error}\n")
+
+
+def test_witness_empty_list_is_no_sets(capsys):
+    for v in ("", "  "):
+        code, out, err = run(capsys, "witness", "--loopy", "--u", "0", "--v", v)
+        assert code == 0, err
+        assert "FAIL" not in out and "not_adjacent_v" not in out
 
 
 def parse_witness_output(u, out):

@@ -23,7 +23,9 @@ their two million memberships one by one took seconds, so it checks
 that the numeral chain is ranked in bulk.  ``rado.check20000`` compares
 membership with BIT adjacency on the 200 million pairs of codes up to
 20000, which takes minutes pair by pair, so it checks that the comparison
-reads each membership once.
+reads each membership once.  In ``alias.hs`` two names denote one set,
+so ``undirect`` is given a handle twice: each of its memberships must
+still count once, and its double edge keep multiplicity 2.
 
 Each case also runs on stores that already hold other sets, so that
 handles differ from a fresh store's: the output must not change.
@@ -52,6 +54,7 @@ from oracles import random_apg
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
+    "alias.multi": ["undirect", "{dir}/alias.hs", "--mode", "multi"],
     "cycle40.solve": ["solve", "{dir}/cycle40.hs"],
     "solve-numeral3000": ["solve", "{dir}/numeral3000.hs"],
     "cycle40.multi": ["undirect", "{dir}/cycle40.hs", "--mode", "multi"],

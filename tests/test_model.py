@@ -108,7 +108,7 @@ class StoreMachine(RuleBasedStateMachine):
         store refs to the stored element instead of picture edges."""
         rng = random.Random(seed)
         share = rng.random()
-        verts = sorted(closure(self.u, [s]).vertices)
+        verts = sorted(closure(self.u, [s]))
         children, refs = {}, {}
         for x in verts:
             kids, rs = children.setdefault(x, set()), refs.setdefault(x, set())

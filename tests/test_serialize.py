@@ -192,7 +192,7 @@ def test_wf_code_index_walks_through_non_well_founded_roots():
         roots = [u.canonicalize(random_apg(rng, max_nodes=rng.randint(2, 12), store=store))
                  for _ in range(rng.randint(1, 3))]
         index = wf_code_index(u, roots)
-        assert set(index) == {s for s in closure(u, roots).vertices if u.is_well_founded(s)}
+        assert set(index) == {s for s in closure(u, roots) if u.is_well_founded(s)}
         codes = {}
         for s in index:
             try:
@@ -219,8 +219,7 @@ def test_format_system_rejects_hyperset_atom(u):
 
 def test_emit_graph_shapes(u):
     sol = solve(u, parse_system(u, PAIR_TEXT))
-    sl = closure(u, list(sol.values()))
-    text = emit_graph(u, undirect(u, sl, "double_only"), "double_only")
+    text = emit_graph(u, undirect(u, sol.values(), "double_only"), "double_only")
     verts, edges = parse_graph_output(text)
     labels = [lab for _, lab, _ in verts]
     assert labels[:2] == ["0", "1"]            # vn(0), vn(1) by code
@@ -240,8 +239,7 @@ def test_emit_graph_loop_flag(u):
 
 def test_emit_graph_multi_mode(u):
     sol = solve(u, parse_system(u, PAIR_TEXT))
-    sl = closure(u, list(sol.values()))
-    text = emit_graph(u, undirect(u, sl, "multi"), "multi")
+    text = emit_graph(u, undirect(u, sol.values(), "multi"), "multi")
     verts, edges = parse_graph_output(text)
     mult_by_pair = {(i, j): m for i, j, m in edges}
     assert 2 in mult_by_pair.values()
@@ -272,7 +270,7 @@ def test_emit_graph_peak_memory_per_edge(u):
     # each edge is one int until its line is formatted, and the text is
     # built once: about 120 B per edge, of which the lines take 68
     sol = solve(u, parse_system(u, "atom a = 700\nx = {x,a}\ny = {x,a,y}\n"))
-    graph = undirect(u, closure(u, list(sol.values())), "multi")
+    graph = undirect(u, sol.values(), "multi")
     assert len(graph.multiplicity) == 245352
     tracemalloc.start()
     try:
@@ -304,7 +302,7 @@ def assert_ranks_match(u, vertices):
 def assert_ranks_match_from_roots(u, roots):
     """Ranks from the closure and from the roots alone, against the naive
     loop on the closure; the well-founded code index likewise."""
-    vertices = closure(u, roots).vertices
+    vertices = closure(u, roots)
     assert_ranks_match(u, vertices)
     assert structural_ranks(u, roots) == naive_structural_ranks(u, vertices)
     wf = [s for s in vertices if u.is_well_founded(s)]
@@ -317,13 +315,13 @@ def test_structural_ranks_match_naive_on_random_pictures():
     for _ in range(120):
         store = list(u.ids()) if rng.random() < 0.5 else ()
         root = u.canonicalize(random_apg(rng, max_nodes=rng.randint(2, 30), store=store))
-        assert_ranks_match(u, closure(u, [root]).vertices)
+        assert_ranks_match(u, closure(u, [root]))
     assert_ranks_match(u, list(u.ids()))
 
 
 def test_structural_ranks_match_naive_on_numerals(u):
     for n in range(81):
-        assert_ranks_match(u, closure(u, [u.vn(n)]).vertices)
+        assert_ranks_match(u, closure(u, [u.vn(n)]))
 
 
 def test_structural_ranks_match_naive_on_cycles_with_one_atom():
@@ -332,7 +330,7 @@ def test_structural_ranks_match_naive_on_cycles_with_one_atom():
         atom = u.make_set([u.vn(3)])
         cycle = Apg(children={i: frozenset({(i + 1) % n}) for i in range(n)}, root=0,
                     store_refs={0: frozenset({atom})})
-        assert_ranks_match(u, closure(u, [u.canonicalize(cycle)]).vertices)
+        assert_ranks_match(u, closure(u, [u.canonicalize(cycle)]))
 
 
 def test_structural_ranks_match_naive_on_chorded_cycles_with_wide_atoms():
@@ -348,7 +346,7 @@ def test_structural_ranks_match_naive_on_chorded_cycles_with_wide_atoms():
             wide = u.make_set(u.vn(rng.randint(0, 25)) for _ in range(rng.randint(2, 9)))
             refs.setdefault(rng.randrange(n), set()).add(wide)
         root = u.canonicalize(Apg(children=children, root=0, store_refs=refs))
-        assert_ranks_match(u, closure(u, [root]).vertices)
+        assert_ranks_match(u, closure(u, [root]))
 
 
 # -- the numeral chain is ranked in bulk -----------------------------------------
@@ -391,7 +389,7 @@ def test_structural_ranks_match_naive_with_singleton_numeral_atoms():
 
 def test_numeral_chain_is_ranked_in_bulk(u):
     # two million memberships, which took seconds when walked one by one
-    vertices = closure(u, [u.vn(2000)]).vertices
+    vertices = closure(u, [u.vn(2000)])
     start = time.perf_counter()
     ranks = structural_ranks(u, vertices)
     assert time.perf_counter() - start < 2

@@ -5,8 +5,8 @@ import pytest
 
 from hyperset.errors import ParseError
 from hyperset.flat import solve, validate
-from hyperset.sysfile import (_Tokens, parse_pattern, parse_set_literal, parse_system,
-                              split_literals)
+from hyperset.sysfile import (_Tokens, parse_pattern, parse_set_literal, parse_set_literals,
+                              parse_system)
 from hyperset.universe import Universe
 
 from oracles import naive_parse_set_literal, naive_parse_system, naive_tokens
@@ -93,10 +93,30 @@ def test_literals(u):
         parse_set_literal(u, "{1} junk")
 
 
-def test_split_literals():
-    assert split_literals("0,{1,2},{{},3}") == ["0", "{1,2}", "{{},3}"]
-    assert split_literals("") == []
-    assert split_literals(" 1 ") == ["1"]
+def test_parse_set_literals(u):
+    assert parse_set_literals(u, "0,{1,2},{{},3}") == [
+        u.vn(0), u.make_set([u.vn(1), u.vn(2)]), u.make_set([u.vn(0), u.vn(3)])]
+    assert parse_set_literals(u, "") == []
+    assert parse_set_literals(u, " \t") == []
+    assert parse_set_literals(u, " 1 ") == [u.vn(1)]
+    assert parse_set_literals(u, "2, 2") == [u.vn(2), u.vn(2)]
+
+
+@pytest.mark.parametrize("text, error", [
+    # positioned within the whole list, not within one item
+    ("0,{2,$}", "1:6: unexpected character '$'"),
+    ("0, {1}\n, {x}", "2:4: expected a set literal, found 'x'"),
+    # an empty item is an error, not dropped
+    ("1,,2", "1:3: expected a set literal, found ','"),
+    (",1", "1:1: expected a set literal, found ','"),
+    ("1,2,", "1:5: expected a set literal, found 'end of input'"),
+    ("1 2", "1:3: trailing input '2'"),
+    ("{1,2", "1:5: expected '}', found 'end of input'"),
+])
+def test_parse_set_literals_errors_are_positioned_in_the_list(u, text, error):
+    with pytest.raises(ParseError) as info:
+        parse_set_literals(u, text)
+    assert str(info.value) == error
 
 
 def test_parse_pattern_edges():
