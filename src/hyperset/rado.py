@@ -92,9 +92,9 @@ class AckermannCoder:
             if x in known:
                 stack.pop()
                 continue
-            if x in over:
-                raise self._overflowed(x)
             elems = u.elements(x)
+            if x in over or elems and elems[-1] in over:  # vn(k) holds vn(k-1) last
+                raise self._overflowed(x)
             pending = [e for e in elems if e not in known]
             if pending:
                 if not over.isdisjoint(pending):

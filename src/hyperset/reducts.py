@@ -5,27 +5,64 @@ smallest element-closed vertex set holding them, so it looks only at
 memberships among sets that exist already and is stable under
 unrelated growth of the universe.  Double edges (mutual membership
 between distinct sets) and loops (x in x) are accounted separately,
-matching how the two statistics behave.
+matching how the two statistics behave.  The memberships among the
+numerals of a closure follow from their chain and are never read: a
+reduct's edges are read-only views over the pairs it read and that chain.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
-from typing import Iterable
+from math import comb
 
 from .errors import ValidationError
-from .universe import SetId, Universe, _walk
+from .universe import SetId, Universe, _walk, _walk_to_numerals
 
 MODES = ("loopy", "multi", "double_only")
+
+
+class _Chained:
+    """``pairs``, then the unstored (chain[i], chain[j]) for i < j."""
+
+    def __init__(self, pairs, chain: tuple = ()):
+        self.pairs, self.chain, self.on = pairs, chain, frozenset(chain)
+
+    def __len__(self) -> int:
+        return len(self.pairs) + comb(len(self.chain), 2)
+
+    def __contains__(self, key) -> bool:
+        return key in self.pairs or (type(key) is tuple and len(key) == 2
+                                     and self.on.issuperset(key) and key[0] < key[1])
+
+    def __iter__(self):
+        return itertools.chain(self.pairs, itertools.combinations(self.chain, 2))
+
+
+class Multiplicities(_Chained, Mapping):
+    """Read-only edge -> multiplicity mapping; chain pairs have 1."""
+
+    def __getitem__(self, key) -> int:
+        return 1 if key not in self.pairs and key in self else self.pairs[key]
+
+
+class EdgeSet(_Chained, Set):
+    def __hash__(self) -> int:  # a read-only set of edges, hashable as a frozenset is
+        return self._hash()
 
 
 @dataclass(frozen=True)
 class LoopyGraph:
     """Simple undirected graph with loops; edges are (a, b) with a <= b
-    and loops are (a, a)."""
+    and loops are (a, a).  ``edges`` is a read-only :class:`EdgeSet`."""
 
     vertices: frozenset
-    edges: frozenset[tuple]
+    edges: Set[tuple]
+
+    def __post_init__(self):
+        if not isinstance(self.edges, EdgeSet):  # a plain set has no chain
+            object.__setattr__(self, "edges", EdgeSet(self.edges))
 
     def loops(self) -> frozenset:
         return frozenset(a for a, b in self.edges if a == b)
@@ -44,11 +81,15 @@ class LoopyGraph:
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """Undirected multigraph with multiplicities in {1, 2}; loops carry
-    multiplicity 1 and are their own key (a, a)."""
+    """Undirected multigraph: ``multiplicity``, a read-only ``Mapping``,
+    takes each edge to 1 or 2, and each loop, keyed (a, a), to 1."""
 
     vertices: frozenset[SetId]
-    multiplicity: dict[tuple, int]
+    multiplicity: Mapping[tuple, int]
+
+    def __post_init__(self):
+        if not isinstance(self.multiplicity, Multiplicities):  # a plain dict has no chain
+            object.__setattr__(self, "multiplicity", Multiplicities(self.multiplicity))
 
 
 def closure(u: Universe, seeds: Iterable[SetId]) -> frozenset[SetId]:
@@ -65,24 +106,26 @@ def undirect(u: Universe, sets: Iterable[SetId], mode: str):
     mutual-membership pairs and the loops.
     One walk builds the closure and reads each membership once as it
     goes; a pair met twice is a double edge, since elements never
-    repeat.  A closed set is its own closure.
+    repeat.  The walk stops at numerals, whose memberships are the
+    chain's.  A closed set is its own closure.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
     mult: dict[tuple, int] = {}
 
-    def step(x: SetId):
+    def count(x: SetId):
         elems = u.elements(x)
         for e in elems:
             key = (e, x) if e < x else (x, e)
             mult[key] = mult.get(key, 0) + 1
         return elems
 
-    verts = _walk(sets, step)
+    verts, chain = _walk_to_numerals(u, sets, count)
     if mode == "multi":
-        return MultiGraph(vertices=verts, multiplicity=mult)
-    return LoopyGraph(vertices=verts, edges=frozenset(
-        key for key, m in mult.items() if mode == "loopy" or m == 2 or key[0] == key[1]))
+        return MultiGraph(vertices=verts, multiplicity=Multiplicities(mult, chain))
+    if mode == "double_only":  # the chain has no loop or double edge
+        mult, chain = [key for key, m in mult.items() if m == 2 or key[0] == key[1]], ()
+    return LoopyGraph(vertices=verts, edges=EdgeSet(frozenset(mult), chain))
 
 
 def has_loop(u: Universe, x: SetId) -> bool:

@@ -44,7 +44,7 @@ from .rado import AckermannCoder
 # perfbench/spans.py patches closure on this module by name; it is
 # imported only for that.
 from .reducts import LoopyGraph, MultiGraph, closure
-from .universe import SetId, Universe, _walk, refine_ranks
+from .universe import SetId, Universe, _walk_to_numerals, refine_ranks
 
 NU = "ν"  # ν
 
@@ -52,32 +52,13 @@ NU = "ν"  # ν
 # -- ordering helpers -------------------------------------------------------
 
 
-def _walk_to_numerals(u: Universe, roots) -> tuple[frozenset[SetId], tuple[SetId, ...]]:
-    """The closure of ``roots`` as (its non-numerals, its numerals); the
-    numerals are vn(0..k) for the largest vn(k) met, and their elements
-    are never read."""
-    k = 0
-
-    def step(s: SetId):
-        nonlocal k
-        n = u.numeral_of(s)  # checks the handle
-        if n is None:
-            return u.elements(s)
-        k = max(k, n + 1)
-        return ()
-
-    walked = _walk(roots, step)
-    chain = u.numerals()[:k]
-    return walked.difference(chain), chain
-
-
 def wf_code_index(u: Universe, roots) -> dict[SetId, int]:
     """Dense Ackermann-code-order indices of the well-founded sets in the
     closure of ``roots``; vn(k) has rank k."""
-    walked, chain = _walk_to_numerals(u, roots)
+    closed, chain = _walk_to_numerals(u, roots, u.elements)
     rank = {s: r for r, s in enumerate(chain)}
     layers = {r: [s] for s, r in rank.items()}
-    for s in sorted(s for s in walked if u.is_well_founded(s)):
+    for s in sorted(s for s in closed.difference(chain) if u.is_well_founded(s)):
         # a well-founded set comes after its elements
         r = rank[s] = 1 + max((rank[e] for e in u.elements(s)), default=-1)
         layers.setdefault(r, []).append(s)
@@ -109,8 +90,8 @@ def structural_ranks(u: Universe, roots) -> dict[SetId, int]:
     chain is the numerals in the closure, which the walk stops at, so
     the numerals still in the last block rank in bulk.
     """
-    walked, chain = _walk_to_numerals(u, roots)
-    ids = sorted(walked.union(chain))
+    closed, chain = _walk_to_numerals(u, roots, u.elements)
+    ids = sorted(closed)
     elems = {s: u.elements(s) for s in ids}
     return refine_ranks(ids, elems, {s: bool(es) for s, es in elems.items()}, chain)
 
@@ -270,7 +251,9 @@ def emit_graph(u: Universe, graph, mode: str) -> str:
     that order.  Labels: the Ackermann code when it fits the default
     bound, else ``wf<i>``; non-well-founded sets are ``nu<i>``.
     Each order walks the closure of the vertices it sorts and stops at
-    numerals, so printing a graph reads no numeral's elements.
+    numerals, so printing a graph reads no numeral's elements.  Edges
+    print row by row: a numeral of the edges' chain also meets every
+    larger one, at rising positions, since vn(k) has code rank k.
     """
     wf: list[SetId] = []
     nw: list[SetId] = []
@@ -284,23 +267,27 @@ def emit_graph(u: Universe, graph, mode: str) -> str:
     pos = {s: i for i, s in enumerate(ordered)}
 
     if isinstance(graph, MultiGraph):
-        mults = graph.multiplicity.items()
+        edges, m = graph.multiplicity, 1
+        pairs = edges.pairs.items()
     elif isinstance(graph, LoopyGraph):
-        default = 2 if mode == "double_only" else 1
-        mults = ((e, default) for e in graph.edges)
+        edges, m = graph.edges, 2 if mode == "double_only" else 1
+        pairs = ((e, m) for e in edges.pairs)
     else:
         raise ValidationError(f"cannot emit {type(graph).__name__}")
-    # edge i<j of multiplicity m (at most 2) packs into one int, which
-    # sorts as the triple (i, j, m) does
+    # row i lists 2j + k - 1, the cell "j k", for each edge i<j of multiplicity k
     n = len(ordered)
-    loops, edges = set(), []
-    for (a, b), m in mults:
+    loops, rows = set(), {}
+    for (a, b), k in pairs:
         if a == b:
             loops.add(a)
+        elif k not in (1, 2):
+            raise ValidationError(f"edge {(a, b)} has multiplicity {k!r}, not 1 or 2")
         else:
-            i, j = pos[a], pos[b]
-            edges.append(((i * n + j if i < j else j * n + i) << 2) | m)
-    edges.sort()
+            i, j = sorted((pos[a], pos[b]))
+            rows.setdefault(i, []).append(2 * j + k - 1)
+    tail = [2 * pos[s] + m - 1 for s in edges.chain]
+    after = {t // 2: c + 1 for c, t in enumerate(tail)}
+    cells = [f"{j} {k}" for j in range(n) for k in (1, 2)]
 
     coder = AckermannCoder(u)
     lines = []
@@ -312,8 +299,11 @@ def emit_graph(u: Universe, graph, mode: str) -> str:
             except DomainError:
                 label = f"wf{i}"
         lines.append(f"v {i} {label}{' loop' if s in loops else ''}")
-    if not lines:
-        return ""
-    lines.extend(f"e {(k >> 2) // n} {(k >> 2) % n} {k & 3}" for k in edges)
+    for i in range(n):
+        row = rows.get(i, []) + tail[after.get(i, len(tail)):]
+        if row:
+            row.sort()
+            head = f"e {i} "
+            lines.append(head + ("\n" + head).join(map(cells.__getitem__, row)))
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)

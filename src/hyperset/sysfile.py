@@ -42,18 +42,18 @@ class _Tokens:
     ``("eof", "")``.  Tokens carry no position: an error recomputes the
     line and column of the token it names with :meth:`where`."""
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, comments: bool = True):
+        self.text, self.comments = text, comments
         values = _TOKEN.findall(text)
         kinds = list(map(_KIND.get, map(itemgetter(0), values)))
         toks = list(zip(kinds, values))
-        if "#" in kinds:  # drop the comments
+        if "#" in kinds and comments:  # drop the comments
             toks = [tok for tok in toks if tok[0] != "#"]
         toks.append(("eof", ""))
         self.toks = toks
-        if None in kinds:  # a character that starts no token
-            k = next(k for k, tok in enumerate(toks) if tok[0] is None)
-            raise self.error(f"unexpected character {toks[k][1]!r}", k)
+        if None in kinds or "#" in kinds and not comments:  # a character that starts no token
+            k = next(k for k, tok in enumerate(toks) if tok[0] in (None, "#"))
+            raise self.error(f"unexpected character {toks[k][1][0]!r}", k)
 
     def where(self, k: int) -> tuple[int, int]:
         """Line and column (in characters, from 1) of token ``k``.  The
@@ -62,7 +62,7 @@ class _Tokens:
         text = self.text
         at = None
         for m in _TOKEN.finditer(text):
-            if m.group()[0] == "#":
+            if m.group()[0] == "#" and self.comments:
                 continue
             if k == 0:
                 at = m.start()
@@ -194,7 +194,7 @@ def parse_system(u: Universe, text: str) -> FlatSystem:
 
 def parse_set_literal(u: Universe, text: str) -> SetId:
     """Parse a single standalone set literal (CLI argument helper)."""
-    tokens = _Tokens(text)
+    tokens = _Tokens(text, comments=False)
     s, i = _parse_literal(u, tokens, 0)
     kind, value = tokens.toks[i]
     if kind != "eof":
@@ -205,9 +205,9 @@ def parse_set_literal(u: Universe, text: str) -> SetId:
 def parse_set_literals(u: Universe, text: str) -> list[SetId]:
     """Parse a comma-separated list of set literals (CLI argument helper).
 
-    Blank text is the empty list; errors are positioned within ``text``.
+    Blank text is the empty list; errors, ``#`` too, are positioned within ``text``.
     """
-    tokens = _Tokens(text)
+    tokens = _Tokens(text, comments=False)
     toks = tokens.toks
     sets: list[SetId] = []
     i = 0

@@ -63,6 +63,20 @@ def _walk(starts: Iterable, step: Callable[..., Iterable]) -> frozenset:
     return frozenset(seen)
 
 
+def _walk_to_numerals(u: Universe, roots, elements) -> tuple[frozenset, tuple]:
+    """The closure of ``roots`` and its numerals vn(0..k), vn(k) the largest
+    met.  It reads other sets with ``elements``, and no numeral's elements."""
+    met = [-1]
+
+    def step(s):
+        n = u.numeral_of(s)  # checks the handle
+        return elements(s) if n is None else met.append(n) or ()
+
+    walked = _walk(roots, step)
+    chain = u.numerals()[:max(met) + 1]
+    return walked.union(chain), chain
+
+
 @dataclass
 class Apg:
     """Accessible pointed graph picturing a single hyperset.
@@ -125,7 +139,7 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
     rule), with per-parent edge counts standing in for the largest
     piece.  A node without children hits no block at all, so the first
     round keys those apart by hand.  A block of one node can never split
-    again, so it keeps no counts.
+    again, so it keeps no counts and its node gets no key.
 
     Blocks keep their order as positions: a block of m members holds the
     positions lo .. lo + m - 1 of the order built so far, and a split
@@ -294,6 +308,8 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
                 count[c] = None
             ic = pos[c]
             for p, hit in hits.items():
+                if len(members[block_of[p]]) == 1:  # p can never split off
+                    continue
                 if p in rest:
                     hit.append(ic)
                     hit.sort()
@@ -593,9 +609,10 @@ class Universe:
         """n when ``s`` is the von Neumann numeral n, else None.
 
         One lookup: vn(n) has n elements, and the numeral cache lists
-        every stored numeral.
+        every stored numeral.  The elements of ``s`` are not read.
         """
-        n = len(self.elements(s))
+        self._check(s)
+        n = len(self._elems[s])
         return n if n < len(self._vn) and self._vn[n] == s else None
 
     def canonicalize(self, g: Apg) -> SetId:

@@ -353,14 +353,15 @@ _NAIVE_NAME = re.compile(r"[A-Za-z_ν][A-Za-z0-9_ν]*")
 _NAIVE_NAT = re.compile(r"[0-9]+")
 
 
-def naive_tokens(text: str):
+def naive_tokens(text: str, comments: bool = True):
     """Tokens of a system file, read one character at a time, as
     (kind, value, line, column) tuples ending with an ``eof`` token; the
     reference for ``hyperset.sysfile._Tokens``.
 
     Whitespace is space, tab, CR and LF; ``#`` runs to end of line and
     advances no column; columns count characters.  Any other character
-    that starts no token raises ParseError at its position.
+    that starts no token raises ParseError at its position, and so does
+    ``#`` without ``comments``.
     """
     toks = []
     line, col = 1, 1
@@ -376,7 +377,7 @@ def naive_tokens(text: str):
             i += 1
             col += 1
             continue
-        if ch == "#":
+        if ch == "#" and comments:
             while i < len(text) and text[i] != "\n":
                 i += 1
             continue
@@ -401,9 +402,9 @@ def naive_tokens(text: str):
 class _NaiveParser:
     """Recursive descent over :func:`naive_tokens`, one call per token."""
 
-    def __init__(self, u, text):
+    def __init__(self, u, text, comments=True):
         self.u = u
-        self.toks = naive_tokens(text)
+        self.toks = naive_tokens(text, comments)
         self.pos = 0
 
     def peek(self):
@@ -486,8 +487,9 @@ def naive_parse_system(u, text):
 
 
 def naive_parse_set_literal(u, text):
-    """Reference for ``hyperset.sysfile.parse_set_literal``."""
-    p = _NaiveParser(u, text)
+    """Reference for ``hyperset.sysfile.parse_set_literal``: ``#`` is an
+    unexpected character there, not a comment."""
+    p = _NaiveParser(u, text, comments=False)
     s = p.literal()
     kind, value, line, col = p.peek()
     if kind != "eof":

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -92,17 +93,45 @@ def test_undirect_modes(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["alias", "cycle40"])
 def test_undirect_reads_each_membership_once(capsys, monkeypatch, name, mode):
     # serialization reads elements to order the vertices; up to it,
-    # undirect reads the elements of each closure vertex once
+    # undirect reads the elements of each closure vertex once, except
+    # that it reads no numeral's: their memberships are the chain's
     graphs, calls = [], []
-    monkeypatch.setattr(cli, "emit_graph", lambda u, graph, mode: graphs.append(graph) or "")
+    monkeypatch.setattr(cli, "emit_graph",
+                        lambda u, graph, mode: graphs.append((u, graph)) or "")
     elements = Universe.elements
     monkeypatch.setattr(Universe, "elements",
                         lambda self, x: calls.append(x) or elements(self, x))
     path = Path(__file__).resolve().parent / "golden" / f"{name}.hs"
     code, _, err = run(capsys, "undirect", str(path), "--mode", mode)
     assert code == 0, err
-    (graph,) = graphs
-    assert sorted(calls) == sorted(graph.vertices)
+    ((u, graph),) = graphs
+    numerals = {v for v in graph.vertices if u.numeral_of(v) is not None}
+    assert numerals  # both files have numeral atoms
+    assert sorted(calls) == sorted(graph.vertices - numerals)
+
+
+def test_undirect_of_a_large_numeral_keeps_its_chain_implicit():
+    # numeral3000.hs holds 4.5 million numeral memberships and prints
+    # them all, 59.7 MB; reading and keying each of them took about 1 GB
+    # of RSS, printing them from the chain takes about 220 MB
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    golden = Path(__file__).resolve().parent / "golden" / "numeral3000.hs"
+    proc = subprocess.Popen([sys.executable, "-m", "hyperset", "undirect", str(golden),
+                             "--mode", "multi"], stdout=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=path))
+    digest, size = hashlib.sha256(), 0
+    while chunk := proc.stdout.read(1 << 20):
+        digest.update(chunk)
+        size += len(chunk)
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert size == 59730821
+    assert digest.hexdigest() == (
+        "1afaadd968e8df03809fe4b5260af58dae48afdfc0db16707cc6ffaf26391de9")
+    peak_mb = usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 400, peak_mb
 
 
 def test_witness_simple(capsys):
@@ -131,11 +160,33 @@ def test_witness_overlap_is_error(capsys):
     ("--u", "0,{2,$}", "1:6: unexpected character '$'"),
     ("--u", "1,,2", "1:3: expected a set literal, found ','"),
     ("--v", "{", "1:2: expected a set literal, found 'end of input'"),
+    ("--u", "1 #,2", "1:3: unexpected character '#'"),
+    ("--v", "{3,#}", "1:4: unexpected character '#'"),
+    ("--v", "4\n#", "2:1: unexpected character '#'"),
 ])
 def test_witness_list_error_names_the_option(capsys, option, text, error):
     lists = {"--u": "0", "--v": "1", option: text}
     code, out, err = run(capsys, "witness", "--loopy", "--u", lists["--u"], "--v", lists["--v"])
     assert (code, out, err) == (1, "", f"error: {option}: {error}\n")
+
+
+@pytest.mark.parametrize("u_text, v_text, error", [
+    ("1 #,2", "3", "error: --u: 1:3: unexpected character '#'\n"),
+    ("1,2", "3 # a comment", "error: --v: 1:3: unexpected character '#'\n"),
+])
+def test_witness_option_value_has_no_comments(capsys, u_text, v_text, error):
+    # an option value is not a file: `#` there is an error, not a comment
+    # that drops the rest of the list
+    code, out, err = run(capsys, "witness", "--simple", "--u", u_text, "--v", v_text)
+    assert (code, out, err) == (1, "", error)
+
+
+def test_system_file_comments_still_parse(tmp_path, capsys):
+    f = tmp_path / "commented.hs"
+    f.write_text("# a loop over one\natom a = 1 # the numeral\nx = {x,a} # x in x\n# end",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(f))
+    assert (code, out, err) == (0, "atom a0 = 1\nx = {a0,x}\n", "")
 
 
 def test_witness_empty_list_is_no_sets(capsys):

@@ -17,10 +17,13 @@ it checks that the runs of numerals between them are ranked in one step
 each, not in one refinement round per numeral.  ``solve-numeral3000``
 is one equation over the numeral 3000: nothing in it has an order to
 choose, so it prints at once, while ranking its closure of 4.5 million
-memberships takes seconds.  ``star4-seed2000`` does have an order to
-choose, over a closure that holds the numerals up to 2003: ranking
-their two million memberships one by one took seconds, so it checks
-that the numeral chain is ranked in bulk.  ``rado.check20000`` compares
+memberships takes seconds.  ``numeral3000.double`` prints the
+double-edge reduct of the same closure, whose only edge is the loop on
+x, so it checks that ``undirect`` reads none of the 4.5 million
+numeral memberships, which took seconds too.  ``star4-seed2000`` does
+have an order to choose, over a closure that holds the numerals up to
+2003: ranking their two million memberships one by one took seconds,
+so it checks that the numeral chain is ranked in bulk.  ``rado.check20000`` compares
 membership with BIT adjacency on the 200 million pairs of codes up to
 20000, which takes minutes pair by pair, so it checks that the comparison
 reads each membership once.  In ``alias.hs`` two names denote one set,
@@ -57,6 +60,7 @@ CASES = {
     "alias.multi": ["undirect", "{dir}/alias.hs", "--mode", "multi"],
     "cycle40.solve": ["solve", "{dir}/cycle40.hs"],
     "solve-numeral3000": ["solve", "{dir}/numeral3000.hs"],
+    "numeral3000.double": ["undirect", "{dir}/numeral3000.hs", "--mode", "double"],
     "cycle40.multi": ["undirect", "{dir}/cycle40.hs", "--mode", "multi"],
     "cycle40.loopy": ["undirect", "{dir}/cycle40.hs", "--mode", "loopy"],
     "cycle40.double": ["undirect", "{dir}/cycle40.hs", "--mode", "double"],

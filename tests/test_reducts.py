@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,14 +7,18 @@ from hyperset.errors import UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
 from hyperset.reducts import (
     MODES,
+    EdgeSet,
     LoopyGraph,
     MultiGraph,
+    Multiplicities,
     closure,
     double_component,
     double_degree,
     has_loop,
     undirect,
 )
+from hyperset.serialize import emit_graph
+from hyperset.sysfile import parse_system
 from hyperset.universe import Apg, Universe, _walk
 from hyperset.witnesses import double_component_graph
 from oracles import naive_double_component, naive_undirect, random_apg
@@ -232,3 +237,113 @@ def test_double_edge_neighbors_are_members(u):
         for a, b in g.plain_edges():
             assert u.is_member(a, b) and u.is_member(b, a)
             assert a in u.elements(b) and b in u.elements(a)
+
+
+# -- the numeral chain is implicit -------------------------------------------
+
+
+def numeral_pictures(u, seed=41, count=50):
+    """Roots of seeded pictures whose store refs are numerals up to 40 and
+    brace literals that hold numerals."""
+    rng = random.Random(seed)
+    store = [u.vn(k) for k in rng.sample(range(41), 12)]
+    for _ in range(8):
+        store.append(u.make_set(rng.sample(store, rng.randint(1, 3))))
+    return [u.canonicalize(random_apg(rng, max_nodes=rng.randint(1, 10), store=store))
+            for _ in range(count)]
+
+
+def assert_view_matches(view, plain, vertices, chain):
+    """``view`` answers ``len``, ``in``, ``[key]``, iteration and ``==`` as
+    the dict or frozenset ``plain`` does."""
+    assert len(view) == len(plain)
+    assert sorted(view) == sorted(plain)
+    assert view == plain and plain == view and not view != plain
+    mapping = isinstance(plain, dict)
+    for key in plain:
+        assert key in view
+        if mapping:
+            assert view[key] == plain[key] and view.get(key) == plain[key]
+    verts = sorted(vertices)
+    missing = [(a, b) for a in verts for b in verts if (a, b) not in plain]
+    missing += [(b, a) for a, b in zip(chain, chain[1:])] + [(c, c) for c in chain]
+    missing += [(chain[0],) if chain else (0,), (0, 1, 2), "ab", None]
+    for key in missing:
+        assert key not in view
+        if mapping:
+            with pytest.raises(KeyError):
+                view[key]
+            assert view.get(key, 7) == 7
+
+
+def test_undirect_leaves_numeral_memberships_implicit(u):
+    chains = 0
+    for root in numeral_pictures(u):
+        sl = closure(u, [root])
+        for mode in MODES:
+            g, ref = undirect(u, [root], mode), naive_undirect(u, sl, mode)
+            assert g == ref and ref == g
+            view = g.multiplicity if mode == "multi" else g.edges
+            plain = ref.multiplicity.pairs if mode == "multi" else ref.edges.pairs
+            assert isinstance(view, Multiplicities if mode == "multi" else EdgeSet)
+            assert_view_matches(view, plain, sl, view.chain)
+            # no numeral-to-numeral pair is stored, and double_only has no chain
+            numerals = {s for s in sl if u.numeral_of(s) is not None}
+            assert view.chain == (() if mode == "double_only" else u.numerals()[:len(numerals)])
+            assert not any({a, b} <= numerals for a, b in view.pairs)
+            chains += len(view.chain) > 10
+    assert chains > 30, chains  # the pictures hold long chains
+
+
+def test_graphs_from_plain_dicts_and_sets_are_views_without_a_chain(u):
+    x, y = membership_pair(u)
+    mult = {(x, x): 1, (min(x, y), max(x, y)): 2}
+    g = MultiGraph(vertices=frozenset({x, y}), multiplicity=mult)
+    assert isinstance(g.multiplicity, Multiplicities) and g.multiplicity.chain == ()
+    assert g.multiplicity == mult and g == MultiGraph(vertices=frozenset({x, y}),
+                                                       multiplicity=dict(mult))
+    h = LoopyGraph(vertices=frozenset({x, y}), edges=frozenset(mult))
+    assert isinstance(h.edges, EdgeSet) and h.edges == frozenset(mult)
+    assert hash(h) == hash(LoopyGraph(vertices=frozenset({x, y}), edges=frozenset(mult)))
+    assert hash(h.edges) == hash(frozenset(mult))
+
+
+class CountingUniverse(Universe):
+    """A store that records every set whose elements are read."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = []
+
+    def elements(self, s):
+        self.read.append(s)
+        return super().elements(s)
+
+
+def test_undirect_never_reads_a_numeral():
+    u = CountingUniverse()
+    text = "atom a = 40\natom b = {3,{7},{{12}}}\nx = {x,a,y}\ny = {x,b}\nz = {y}\n"
+    roots = list(solve(u, parse_system(u, text)).values())
+    roots += numeral_pictures(u, count=10)
+    for mode in MODES:
+        u.read = []
+        g = undirect(u, roots, mode)
+        numerals = {s for s in g.vertices if u.numeral_of(s) is not None}
+        assert len(numerals) >= 41
+        assert sorted(u.read) == sorted(g.vertices - numerals)
+
+
+def test_undirect_and_emit_graph_peak_memory_on_a_numeral_chain(u):
+    # x = {x, a} with a = vn(1000): 500,500 numeral edges, none stored;
+    # the parent held each as a dict key and a packed int, 109 MB at peak
+    x = solve(u, parse_system(u, "atom a = 1000\nx = {x,a}\n"))["x"]
+    tracemalloc.start()
+    try:
+        g = undirect(u, [x], "multi")
+        text = emit_graph(u, g, "multi")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.multiplicity) == 500502  # with the loop on x and the edge a-x
+    assert text.count("\n") == 1002 + 500501
+    assert peak < 40 * 2**20, peak

@@ -266,6 +266,18 @@ def test_emit_graph_matches_the_triple_reference(data):
             assert emit_graph(u, graph, mode) == naive_emit_graph(u, graph, mode)
 
 
+def test_emit_graph_refuses_a_multiplicity_other_than_1_or_2(u):
+    # a row cell stands for one of the two multiplicities, so any other
+    # would print as a different edge
+    a, b = u.vn(0), u.vn(1)
+    for m in (0, 3, -1, "2"):
+        graph = MultiGraph(vertices=frozenset({a, b}), multiplicity={(a, b): m})
+        with pytest.raises(ValidationError, match="not 1 or 2"):
+            emit_graph(u, graph, "multi")
+    graph = MultiGraph(vertices=frozenset({a, b}), multiplicity={(a, a): 2, (a, b): 2})
+    assert emit_graph(u, graph, "multi") == "v 0 0 loop\nv 1 1\ne 0 1 2\n"
+
+
 def test_emit_graph_peak_memory_per_edge(u):
     # each edge is one int until its line is formatted, and the text is
     # built once: about 120 B per edge, of which the lines take 68

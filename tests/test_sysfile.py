@@ -112,11 +112,22 @@ def test_parse_set_literals(u):
     ("1,2,", "1:5: expected a set literal, found 'end of input'"),
     ("1 2", "1:3: trailing input '2'"),
     ("{1,2", "1:5: expected '}', found 'end of input'"),
+    # `#` is not a comment in a literal list: the rest would be dropped
+    ("1 #,2", "1:3: unexpected character '#'"),
+    ("1,2 # $", "1:5: unexpected character '#'"),
+    ("1,2 $ #", "1:5: unexpected character '$'"),
 ])
 def test_parse_set_literals_errors_are_positioned_in_the_list(u, text, error):
     with pytest.raises(ParseError) as info:
         parse_set_literals(u, text)
     assert str(info.value) == error
+
+
+def test_parse_set_literal_refuses_comments_that_system_files_allow(u):
+    with pytest.raises(ParseError, match=r"^1:3: unexpected character '#'$"):
+        parse_set_literal(u, "2 # two")
+    system = parse_system(u, "atom a = 2 # two\n# x holds a\nx = {a} #")
+    assert system.atoms == {"a": u.vn(2)}
 
 
 def test_parse_pattern_edges():
@@ -196,17 +207,19 @@ def _outcome(parse, u, text):
 @settings(max_examples=400, deadline=None)
 @given(system_texts)
 def test_tokens_and_parses_match_the_character_reference(text):
-    try:
-        ref = naive_tokens(text)
-    except ParseError as exc:
-        with pytest.raises(ParseError) as err:
-            _Tokens(text)
-        assert str(err.value) == str(exc)
-    else:
-        tokens = _Tokens(text)
-        assert tokens.toks == [(kind, value) for kind, value, _, _ in ref]
-        assert [tokens.where(k) for k in range(len(ref))] == [
-            (line, col) for _, _, line, col in ref]
+    # with comments as in system files, and without as in CLI literals
+    for comments in (True, False):
+        try:
+            ref = naive_tokens(text, comments)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                _Tokens(text, comments)
+            assert str(err.value) == str(exc)
+        else:
+            tokens = _Tokens(text, comments)
+            assert tokens.toks == [(kind, value) for kind, value, _, _ in ref]
+            assert [tokens.where(k) for k in range(len(ref))] == [
+                (line, col) for _, _, line, col in ref]
     # one store, so equal sets are equal handles
     u = Universe()
     assert _outcome(parse_system, u, text) == _outcome(naive_parse_system, u, text)
