@@ -68,6 +68,13 @@ def _read(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _write_graph(text: str) -> None:
+    """Write emit_graph's text in 1 MiB slices, so that the text layer
+    never holds an encoded copy of the whole graph."""
+    for i in range(0, len(text), 1 << 20):
+        sys.stdout.write(text[i:i + (1 << 20)])
+
+
 def cmd_solve(args) -> int:
     u = _universe()
     system = parse_system(u, _read(args.file))
@@ -84,7 +91,7 @@ def cmd_undirect(args) -> int:
     graph = undirect(u, solution.values(), mode)
     if not graph.vertices:
         return 0
-    sys.stdout.write(emit_graph(u, graph, mode))
+    _write_graph(emit_graph(u, graph, mode))
     return 0
 
 
@@ -122,7 +129,7 @@ def cmd_witness(args) -> int:
 def cmd_star(args) -> int:
     u = _universe()
     y, _xs = star(u, args.n, atom_seed=args.seed)
-    sys.stdout.write(emit_graph(u, double_component_graph(u, [y]), "double_only"))
+    _write_graph(emit_graph(u, double_component_graph(u, [y]), "double_only"))
     return 0
 
 
@@ -131,7 +138,7 @@ def cmd_component(args) -> int:
     pattern = parse_pattern(_read(args.file), fmt=args.pattern_format)
     ys = component(u, pattern, atom_seed=args.seed)  # raises if not exact
     graph = double_component_graph(u, ys)
-    sys.stdout.write(emit_graph(u, graph, "double_only"))
+    _write_graph(emit_graph(u, graph, "double_only"))
     ok = True
     if pattern.size <= 10:
         ok = loopy_iso(graph, pattern.to_loopy_graph()) is not None

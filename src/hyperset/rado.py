@@ -372,7 +372,8 @@ def hyperset_loopy_oracle(u: Universe, seed: int = 0) -> ExtensionOracle:
     stars, and pattern components, so games exercise loops and double
     edges; the witness procedure is the loopy extension construction.
     """
-    cache: dict[int, tuple] = {}
+    cache: dict[int, SetId] = {}
+    labels: dict[SetId, str] = {}  # the first label built for each set
 
     def build(i: int) -> tuple:
         rng = random.Random(f"loopy:{seed}:{i}")
@@ -399,14 +400,12 @@ def hyperset_loopy_oracle(u: Universe, seed: int = 0) -> ExtensionOracle:
 
     def vertex(i: int):
         if i not in cache:
-            cache[i] = build(i)
-        return cache[i][0]
+            cache[i], lab = build(i)
+            labels.setdefault(cache[i], lab)
+        return cache[i]
 
     def label(v):
-        for vv, lab in cache.values():
-            if vv == v:
-                return lab
-        return f"s{v}"
+        return labels.get(v) or f"s{v}"
 
     return ExtensionOracle(
         kind="loopy",

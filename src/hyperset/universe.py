@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
-from collections import deque
+from bisect import bisect_left, insort
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -138,13 +138,15 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
     by scanning the in-edges of every piece but the largest (Hopcroft's
     rule), with per-parent edge counts standing in for the largest
     piece.  A node without children hits no block at all, so the first
-    round keys those apart by hand.  A block of one node can never split
-    again, so it keeps no counts and its node gets no key.
+    round keys those apart by hand.
 
     Blocks keep their order as positions: a block of m members holds the
     positions lo .. lo + m - 1 of the order built so far, and a split
     hands them out to its pieces in order, so no label is ever
-    renumbered.
+    renumbered.  A block of one node can never split again, and most
+    blocks end that way, so it keeps its position and nothing else: no
+    member set, no counts, and no key for its node.  A parent's key is a
+    flat tuple of ints, so the groups of a split sort cheaply.
 
     ``chain`` optionally lists nodes like the von Neumann numerals:
     ``chain[k]`` has exactly the children ``chain[:k]`` (only their
@@ -174,65 +176,74 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
                                   f"keyed like the chain")
     in_chain = set(chain)
     degree: dict = {}
+    sinks = []
     for n in preds:
-        if n in in_chain:
-            continue
         ks = kids[n]
-        for c in ks:
-            ps = preds.get(c)
-            if ps is None:
-                raise ValidationError("vertex set is not element-closed")
-            ps.append(n)
-        if ks:
+        if not ks:
+            sinks.append(n)
+        elif n not in in_chain:
             degree[n] = len(ks)
+            try:
+                for c in ks:
+                    preds[c].append(n)
+            except KeyError:
+                raise ValidationError("vertex set is not element-closed") from None
 
-    # Per block id: members, the position lo of its first member in the
-    # order so far and, for each parent, how many of its children lie in
-    # the block.  top[p] is the last block that p's children lie in.
+    # Per block id b >= 0, a block of several nodes: its members, the
+    # position lo[b] of its first member in the order so far and, for
+    # each parent, how many of its children lie in the block (count[b]).
+    # A block of one node keeps none of these: its id is ~x, x being its
+    # position.  top[p] is the last block that p's children lie in.
     block_of = dict.fromkeys(preds, 0)
     members = [set(preds)]
     lo = [0]
-    count: list[dict | None] = [degree]
+    count = {0: degree}
     top = dict.fromkeys(degree, 0)
 
-    def split(b: int, groups: list, rest: int) -> list[int]:
-        """Replace block ``b`` by ``groups`` in that order, where None
+    def split(b: int, groups: list, rest: int) -> tuple:
+        """Replace block ``b`` by ``groups`` in that order, where ()
         stands for the ``rest`` members of ``b`` in no listed group.
-        The largest piece keeps id ``b``; returns the piece ids."""
-        sizes = [rest if g is None else len(g) for g in groups]
+        The largest piece keeps id ``b`` unless it has one node; returns
+        the splitter: ``b``, the piece ids, their members, and the index
+        of the largest piece."""
+        sizes = [*map(len, groups)]
+        if rest:
+            sizes[groups.index(())] = rest
         big = sizes.index(max(sizes))
-        if groups[big] is None:
-            for g in groups:
-                if g is not None:
-                    members[b].difference_update(g)
-        else:
+        m = members[b]
+        if groups[big]:
             if rest:
-                others = members[b].difference(*(g for g in groups if g is not None))
-                groups = [others if g is None else g for g in groups]
-            members[b] = set(groups[big])
+                groups[groups.index(())] = [*m.difference(*groups)]
+            m = members[b] = set(groups[big])
+        else:
+            m.difference_update(*groups)
+        groups[big] = m
         start = lo[b]
-        pieces = []
-        for j, g in enumerate(groups):
-            piece = b
-            if j != big:
-                piece = len(members)
+        ids = []
+        for g, size in zip(groups, sizes):
+            if size == 1:
+                [n] = g
+                block_of[n] = x = ~start
+                ids.append(x)
+            elif g is m:
+                lo[b] = start
+                ids.append(b)
+            else:
+                piece = len(lo)
+                lo.append(start)
                 members.append(set(g))
-                lo.append(0)
-                count.append(None)
                 for n in g:
                     block_of[n] = piece
-            lo[piece] = start
-            start += sizes[j]
-            pieces.append(piece)
-        return pieces
+                ids.append(piece)
+            start += size
+        return b, ids, groups, big
 
-    by_key: dict = {}
+    by_key = defaultdict(list)
     for n in preds:
-        by_key.setdefault(key[n], []).append(n)
-    splitters: list[tuple[int, list[int]]] = []
+        by_key[key[n]].append(n)
+    splitters: list[tuple] = []
     if len(by_key) > 1:
-        splitters.append((0, split(0, [by_key[k] for k in sorted(by_key)], 0)))
-    sinks = [n for n in preds if not kids[n]]
+        splitters.append(split(0, [by_key[k] for k in sorted(by_key)], 0))
     # The tail block holds chain[t:]; low maps it, and every block below
     # it that holds chain[j] among other nodes, to its lowest chain index
     # in the partition before the last round's splits.
@@ -245,9 +256,9 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
         # has no parent off the chain, the next round only sheds
         # chain[t+1] to a block of its own, so shed such a run at once,
         # keeping two nodes in the tail so that it keeps its id.
-        c, pieces = splitters[0] if splitters else (None, None)
-        if (len(splitters) == 1 and not sinks and low == {c: t}
-                and pieces == [block_of[chain[t]], c] and len(members[pieces[0]]) == 1
+        c, ids = splitters[0][:2] if K - t > 3 and len(splitters) == 1 else (None, ())
+        if (ids and not sinks and low == {c: t}
+                and ids == [block_of[chain[t]], c] and ids[0] < 0
                 and len(members[c]) == K - t - 1):
             q = 0
             while K - t - q > 3 and not preds[chain[t + q]]:
@@ -255,15 +266,12 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
             if q:
                 shed = chain[t + 1:t + q + 1]
                 for i, n in enumerate(shed):
-                    block_of[n] = len(members)
-                    members.append({n})
-                    lo.append(lo[c] + i)
-                    count.append(None)
+                    block_of[n] = ~(lo[c] + i)
                 members[c].difference_update(shed)
                 lo[c] += q
                 t += q
                 low = {c: t}
-                splitters = [(c, [block_of[chain[t]], c])]
+                splitters = [(c, [block_of[chain[t]], c], [[chain[t]], members[c]], 1)]
 
         # A parent's key is sparse: one entry per split block whose small
         # pieces it hits, in block order.  The entry's segment lists the
@@ -272,56 +280,57 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
         # block the parent hits, a later block (above every piece)
         # otherwise.  Members that skip a split block's small pieces hit
         # its largest piece only, so each entry is signed by how its
-        # segment compares with that default, and the signed entries
-        # plus the (0,) terminator order parents as the full tuples do.
-        # In the first round a node without children has the empty
-        # tuple, which the entry () puts below every other key.
-        splitters.sort(key=lambda sp: lo[sp[0]])
-        entries: dict = {n: [()] for n in sinks}
+        # segment compares with that default.  A key is the parent's
+        # entries, each (sign, label, *segment), then 0, in one flat tuple.
+        # Every segment ends in its sentinel, so the entries of one block
+        # never prefix one another, and keys order parents as the full
+        # tuples do.  In the first round a node without children has the
+        # empty tuple, which the key (-2, 0) puts below every other key.
+        if len(splitters) > 1:
+            splitters.sort(key=lambda sp: lo[sp[0]])
+        entries: dict = dict.fromkeys(sinks, (-2, 0))
         sinks = []
         runs = []  # per split chain block: j, chain[j+1]'s entry, chain[j+2:]'s
-        for c, pieces in splitters:
+        for c, ids, groups, ic in splitters:
             label = lo[c]
-            pos = {b: i for i, b in enumerate(pieces)}
             rest = count[c]
             hits: dict = {}
-            for i, b in enumerate(pieces):
-                if b == c:
+            for i, g in enumerate(groups):
+                if i == ic:
                     continue
-                here: dict = {}
-                for v in members[b]:
+                if len(g) > 1:
+                    here = count[ids[i]] = {}
+                    for v in g:
+                        for p in preds[v]:
+                            here[p] = here.get(p, 0) + 1
+                for v in g:
                     for p in preds[v]:
-                        here[p] = here.get(p, 0) + 1
-                if len(members[b]) > 1:
-                    count[b] = here
-                for p, k in here.items():
-                    left = rest[p] - k
-                    if left:
-                        rest[p] = left
-                    else:
-                        del rest[p]
-                    if p in hits:
-                        hits[p].append(i)
-                    else:
-                        hits[p] = [i]
-            if len(members[c]) == 1:
-                count[c] = None
-            ic = pos[c]
+                        left = rest[p] - 1
+                        if left:
+                            rest[p] = left
+                        else:
+                            del rest[p]
+                        if p not in hits:
+                            hits[p] = [i]
+                        elif hits[p][-1] != i:
+                            hits[p].append(i)
+            if ids[ic] < 0:
+                del count[c]
             for p, hit in hits.items():
-                if len(members[block_of[p]]) == 1:  # p can never split off
+                if block_of[p] < 0:  # p can never split off
                     continue
                 if p in rest:
-                    hit.append(ic)
-                    hit.sort()
+                    insort(hit, ic)
+                # p's last block is among the pieces iff it was c
+                sentinel = len(ids)
                 if top[p] == c:
-                    top[p] = pieces[hit[-1]]
-                sentinel = -1 if top[p] in pos else len(pieces)
-                seg = (*hit, sentinel)
-                entry = (-1, label, seg) if seg < (ic, sentinel) else (1, -label, seg)
-                if p in entries:
-                    entries[p].append(entry)
+                    top[p] = ids[hit[-1]]
+                    sentinel = -1
+                if hit[0] < ic or hit[0] == ic and sentinel > 0:
+                    entry = (-1, label, *hit, sentinel, 0)
                 else:
-                    entries[p] = [entry]
+                    entry = (1, -label, *hit, sentinel, 0)
+                entries[p] = entries[p][:-1] + entry if p in entries else entry
 
             j = low.pop(c, None)
             if j is not None:
@@ -329,50 +338,54 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
                 # chain[j+2:] hits it too, then the piece of chain[j+1:] if
                 # c was the tail, or else a later block
                 pa = block_of[chain[j]]
-                above = (pa,), len(pieces)
+                above = (pa,), len(ids)
                 if j == t and j + 1 < K:
                     pb = block_of[chain[j + 1]]
                     above = (pa, pb), -1
                     if pb != pa:
                         low[pb] = t = j + 1
-                if len(members[pa]) > 1 or j == t:
+                if pa >= 0 or j == t:
                     low[pa] = j
                 pair = []
                 for hit, sentinel in (((pa,), -1), above):
-                    seg, default = (*sorted({pos[b] for b in hit}), sentinel), (ic, sentinel)
-                    pair.append(None if seg == default else (-1, label, seg)
-                                if seg < default else (1, -label, seg))
+                    seg, default = (*sorted({ids.index(b) for b in hit}), sentinel), (ic, sentinel)
+                    pair.append(None if seg == default else (-1, label, *seg)
+                                if seg < default else (1, -label, *seg))
                 runs.append((j, *pair))
 
         bulk = ()
         if runs:
             start = max(t, runs[-1][0] + 2)
             for k in [*(j for j in low.values() if j < t), *range(t, min(start, K))]:
-                es = [near if k == j + 1 else far for j, near, far in runs if j < k]
-                es = [e for e in es if e is not None]
+                es = [x for j, near, far in runs if j < k
+                      for x in (near if k == j + 1 else far) or ()]
                 if es:
-                    entries.setdefault(chain[k], []).extend(es)
-            tail_key = (*(e for _, _, e in runs if e is not None), (0,))
+                    entries[chain[k]] = (*entries.get(chain[k], (0,))[:-1], *es, 0)
+            tail_key = (*(x for _, _, e in runs if e is not None for x in e), 0)
             if len(tail_key) > 1:
                 bulk = chain[start:]
 
         touched: dict[int, dict] = {}
         for p, es in entries.items():
-            es.append((0,))
-            touched.setdefault(block_of[p], {}).setdefault(tuple(es), []).append(p)
+            touched.setdefault(block_of[p], {}).setdefault(es, []).append(p)
         if bulk:
             touched.setdefault(block_of[bulk[0]], {}).setdefault(tail_key, []).extend(bulk)
         splitters = []
         for b, groups in touched.items():
+            if b < 0:
+                continue
             rest = len(members[b]) - sum(map(len, groups.values()))
             if rest:
-                groups[((0,),)] = None
+                groups[(0,)] = ()
             if len(groups) > 1:
-                ordered = [groups[k] for k in sorted(groups)]
-                splitters.append((b, split(b, ordered, rest)))
+                splitters.append(split(b, [*map(groups.__getitem__, sorted(groups))], rest))
 
-    rank = {b: i for i, b in enumerate(sorted(range(len(lo)), key=lo.__getitem__))}
-    return {n: rank[block_of[n]] for n in preds}
+    at = [~b if b < 0 else lo[b] for b in block_of.values()]
+    starts = set(at)
+    if len(starts) < len(at):  # else the positions are the ranks
+        starts = sorted(starts)
+        at = map(dict(zip(starts, range(len(starts)))).__getitem__, at)
+    return dict(zip(block_of, at))
 
 
 def _sccs(nodes, kids):

@@ -603,6 +603,126 @@ def test_refine_ranks_rejects_a_broken_chain():
             refine_ranks(kids, kids, k, chain)
 
 
+def chorded_cycle(rng: random.Random, n: int, chords: int, first: int = 0):
+    """Children of the n-cycle first .. first+n-1 with ``chords`` random
+    chords, about a third of them also reversed (a double edge)."""
+    kids = {first + i: {first + (i + 1) % n} for i in range(n)}
+    for _ in range(chords):
+        a, b = rng.sample(range(first, first + n), 2)
+        kids[a].add(b)
+        if rng.random() < 1 / 3:
+            kids[b].add(a)
+    return kids
+
+
+def tuple_keys(rng: random.Random, nodes, keyed: int) -> dict:
+    """Key () on every node but ``keyed`` of them, which get small tuples."""
+    key = dict.fromkeys(nodes, ())
+    for x in rng.sample(sorted(nodes), keyed):
+        key[x] = tuple(sorted(rng.sample(range(6), rng.randint(1, 2))))
+    return key
+
+
+def random_long_cycle(rng: random.Random):
+    """A 50-400 node cycle like the workloads' system files: chords and
+    reversed chords, tuple keys on a few nodes, and, half the time, a
+    second copy of the cycle whose edges each go to the copy or back to
+    the original, so that every copy is bisimilar to its original.  A
+    few children are listed twice."""
+    n = rng.randint(50, 400)
+    kids = chorded_cycle(rng, n, rng.choice((0, rng.randint(1, n // 8), n // 8)))
+    key = tuple_keys(rng, kids, rng.randint(1, 4))
+    if rng.random() < 0.5:
+        for i in range(n):
+            kids[n + i] = {c + n if rng.random() < 0.5 else c for c in kids[i]}
+            key[n + i] = key[i]
+    kids = {x: sorted(cs) for x, cs in kids.items()}
+    for x in rng.sample(sorted(kids), 3):
+        kids[x].append(kids[x][0])
+    nodes = list(kids)
+    rng.shuffle(nodes)
+    return nodes, kids, key
+
+
+def test_refine_ranks_match_naive_on_long_chorded_cycles():
+    # rounds of one-node splits around a long cycle, as in collapse and
+    # in the structural order of the workloads' system files
+    rng = random.Random(17)
+    merged = 0
+    for _ in range(12):
+        nodes, kids, key = random_long_cycle(rng)
+        got = refine_ranks(nodes, kids, key)
+        assert got == naive_refine_ranks(nodes, kids, key)
+        merged += len(set(got.values())) < len(nodes)
+    assert 0 < merged < 12
+
+
+def random_piece_and_region(rng: random.Random):
+    """A cyclic piece and the stored region it is refined with, shaped
+    as ``Universe._resolve_cluster`` builds them.
+
+    The region holds a few chorded cycles, keyed by tuples.  The piece
+    unrolls one of them twice, renames its nodes above the region's and
+    sends some edges into the region instead, so that some piece nodes
+    have copies in the region; half the time it also holds nodes of a
+    fresh cycle with no copy stored.
+    """
+    region, first = {}, 0
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(20, 80)
+        region.update(chorded_cycle(rng, n, rng.randint(0, n // 8), first))
+        first += n
+    key = tuple_keys(rng, region, rng.randint(1, 4))
+    cycle = [x for x in region if x >= first - n]
+    base = 1000
+    copy = {x: base + i for i, x in enumerate(cycle)}
+    copy2 = {x: base + n + i for i, x in enumerate(cycle)}
+    kids = {x: set(cs) for x, cs in region.items()}
+    for x in cycle:
+        for own, other in ((copy, copy2), (copy2, copy)):
+            kids[own[x]] = {c if rng.random() < 0.2 else other[c] for c in region[x]}
+            key[own[x]] = key[x]
+    if rng.random() < 0.5:
+        m = rng.randint(10, 60)
+        fresh = chorded_cycle(rng, m, rng.randint(0, m // 4), base + 2 * n)
+        key.update(tuple_keys(rng, fresh, rng.randint(0, 2)))
+        for x, cs in fresh.items():
+            kids[x] = cs | {rng.choice(sorted(kids))} if rng.random() < 0.1 else cs
+    kids = {x: sorted(cs) for x, cs in kids.items()}
+    return list(kids), kids, key
+
+
+def test_refine_ranks_match_naive_on_a_piece_and_its_stored_region():
+    rng = random.Random(23)
+    found = 0
+    for _ in range(25):
+        nodes, kids, key = random_piece_and_region(rng)
+        got = refine_ranks(nodes, kids, key)
+        assert got == naive_refine_ranks(nodes, kids, key)
+        stored = {got[x] for x in nodes if x < 1000}
+        found += any(got[x] in stored for x in nodes if x >= 1000)
+    assert found == 25
+
+
+def test_refine_ranks_scale_on_a_long_chorded_cycle():
+    # three keyed nodes in a row, and chords that only point back along
+    # the cycle and never at them, so that one node splits off per round
+    # for 6,397 rounds; a kernel that relabels the rest of a block on
+    # every split takes n²/2 steps here, about 20 times as long
+    rng = random.Random(3)
+    n = 6400
+    kids = {i: {(i + 1) % n} for i in range(n)}
+    for _ in range(n // 8):
+        a = rng.randrange(4, n)
+        kids[a].add(rng.randrange(3, a))
+    kids = {x: sorted(cs) for x, cs in kids.items()}
+    key = {**dict.fromkeys(kids, 0), 0: 1, 1: 1, 2: 1}
+    start = time.perf_counter()
+    got = refine_ranks(kids, kids, key)
+    assert time.perf_counter() - start < 1
+    assert sorted(got.values()) == list(range(n))
+
+
 @st.composite
 def small_apgs(draw):
     rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
