@@ -51,7 +51,6 @@ from .witnesses import (
     arp_witness_simple,
     component,
     double_component_graph,
-    loopy_iso,
     star,
     verify_loopy_witness,
     verify_simple_witness,
@@ -65,7 +64,7 @@ __all__ = [
     "WitnessReport", "PatternGraph",
     "arp_witness_simple", "arp_witness_loopy",
     "verify_simple_witness", "verify_loopy_witness",
-    "star", "component", "loopy_iso", "double_component_graph",
+    "star", "component", "double_component_graph",
     "bit_adjacent", "bit_witness", "AckermannCoder",
     "ackermann_code", "ackermann_decode", "coding_correspondence",
     "ExtensionOracle", "PartialIso", "back_and_forth",

@@ -35,7 +35,6 @@ from .universe import Universe
 from .witnesses import (
     component,
     double_component_graph,
-    loopy_iso,
     star,
     verify_loopy_witness,
     verify_simple_witness,
@@ -136,18 +135,11 @@ def cmd_star(args) -> int:
 def cmd_component(args) -> int:
     u = _universe()
     pattern = parse_pattern(_read(args.file), fmt=args.pattern_format)
-    ys = component(u, pattern, atom_seed=args.seed)  # raises if not exact
-    graph = double_component_graph(u, ys)
+    _ys, graph = component(u, pattern, atom_seed=args.seed)  # raises unless the checks hold
     _write_graph(emit_graph(u, graph, "double_only"))
-    ok = True
-    if pattern.size <= 10:
-        ok = loopy_iso(graph, pattern.to_loopy_graph()) is not None
-    sys.stdout.write(f"check isomorphic {'pass' if ok else 'FAIL'}\n")
-    sys.stdout.write("check component_exact pass\n")
-    sys.stdout.write("check distinct pass\n")
-    if not ok:
-        print("error: component is not isomorphic to the pattern", file=sys.stderr)
-        return 1
+    sys.stdout.write("check isomorphic pass\n"
+                     "check component_exact pass\n"
+                     "check distinct pass\n")
     return 0
 
 

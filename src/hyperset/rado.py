@@ -394,7 +394,7 @@ def hyperset_loopy_oracle(u: Universe, seed: int = 0) -> ExtensionOracle:
             return y, f"star{n}.y@{base}"
         pat = rng.choice(_SMALL_PATTERNS)
         base = 500 + (29 * i) % 377
-        ys = component(u, pat, atom_seed=base)
+        ys, _ = component(u, pat, atom_seed=base)
         j = rng.randrange(len(ys))
         return ys[j], f"comp{pat.size}.v{j}@{base}"
 

@@ -67,17 +67,6 @@ class LoopyGraph:
     def loops(self) -> frozenset:
         return frozenset(a for a, b in self.edges if a == b)
 
-    def plain_edges(self) -> frozenset[tuple]:
-        return frozenset(e for e in self.edges if e[0] != e[1])
-
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-        return adj
-
 
 @dataclass(frozen=True)
 class MultiGraph:

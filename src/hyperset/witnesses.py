@@ -193,6 +193,11 @@ class PatternGraph:
         for i in self.loops:
             if not 0 <= i < self.size:
                 raise ValidationError(f"bad loop vertex {i}")
+        neighbors = [[] for _ in range(self.size)]
+        for i, j in sorted(self.edges):
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        object.__setattr__(self, "_neighbors", neighbors)  # frozen: set once here
 
     @classmethod
     def from_matrix(cls, matrix) -> "PatternGraph":
@@ -211,31 +216,26 @@ class PatternGraph:
                     edges.add((i, j))
         return cls(size=k, edges=frozenset(edges), loops=frozenset(loops))
 
-    def adjacent(self, i: int, j: int) -> bool:
-        if i == j:
-            return i in self.loops
-        key = (i, j) if i < j else (j, i)
-        return key in self.edges
-
     def neighbors(self, i: int) -> list[int]:
-        return [j for j in range(self.size) if j != i and self.adjacent(i, j)]
+        return self._neighbors[i]
 
     def connected(self) -> bool:
         return len(_walk([0], self.neighbors)) == self.size
 
-    def to_loopy_graph(self) -> LoopyGraph:
-        edges = set(self.edges)
-        edges.update((i, i) for i in self.loops)
-        return LoopyGraph(vertices=frozenset(range(self.size)),
-                          edges=frozenset(edges))
 
-
-def component(u: Universe, g: PatternGraph, atom_seed: int = 0) -> list[SetId]:
-    """Sets whose double-edge component realizes the pattern exactly.
+def component(u: Universe, g: PatternGraph,
+              atom_seed: int = 0) -> tuple[list[SetId], LoopyGraph]:
+    """Sets whose double-edge component realizes the pattern exactly,
+    and that component as a graph.
 
     Solves y_i = {a_i} union {y_j : j adjacent to i}, a loop at i
     putting y_i into itself; distinct atom ranges give vertex-disjoint
-    copies.
+    copies.  Returns only once it has checked what the CLI's ``check``
+    lines report: the ys are pairwise distinct (``distinct``), the
+    double-edge component of ys[0] is exactly {ys} (``component_exact``),
+    and i -> ys[i] preserves edges and loops, taking the pattern's onto
+    the component's (``isomorphic``); otherwise it raises
+    :class:`ContractViolation`.
     """
     if not g.connected():
         raise PreconditionError("pattern must be connected")
@@ -258,12 +258,13 @@ def component(u: Universe, g: PatternGraph, atom_seed: int = 0) -> list[SetId]:
     graph = double_component_graph(u, ys)
     if graph.vertices != set(ys):
         problems.append("double-edge component differs from the solution sets")
-    image = frozenset(tuple(sorted((ys[i], ys[j]))) for i, j in g.to_loopy_graph().edges)
+    image = {(ys[i], ys[i]) for i in g.loops}
+    image.update(tuple(sorted((ys[i], ys[j]))) for i, j in g.edges)
     if graph.edges != image:
         problems.append("double edges do not match the pattern")
     if problems:
         raise ContractViolation("; ".join(problems))
-    return ys
+    return ys, graph
 
 
 def double_component_graph(u: Universe, members) -> LoopyGraph:
@@ -280,55 +281,3 @@ def double_component_graph(u: Universe, members) -> LoopyGraph:
     return LoopyGraph(vertices=comp, edges=frozenset(
         (x, y) for x in comp for y in u.elements(x)
         if y == x or (x < y and u.is_member(x, y))))
-
-
-def loopy_iso(ga: LoopyGraph, gb: LoopyGraph):
-    """A vertex bijection preserving edges and loops, or None.
-
-    Exhaustive backtracking with degree/loop pruning; deterministic
-    (first hit in sorted search order).  Capped at 10 vertices.
-    """
-    va, vb = sorted(ga.vertices), sorted(gb.vertices)
-    if len(va) > 10 or len(vb) > 10:
-        raise PreconditionError("exhaustive mode handles at most 10 vertices")
-    if len(va) != len(vb) or len(ga.edges) != len(gb.edges):
-        return None
-    loops_a, loops_b = ga.loops(), gb.loops()
-    if len(loops_a) != len(loops_b):
-        return None
-    adj_a, adj_b = ga.adjacency(), gb.adjacency()
-
-    def signature(v, adj, loops):
-        return (len(adj[v]), v in loops)
-
-    candidates = {
-        a: [b for b in vb if signature(b, adj_b, loops_b) == signature(a, adj_a, loops_a)]
-        for a in va
-    }
-    if any(not c for c in candidates.values()):
-        return None
-    order = sorted(va, key=lambda a: len(candidates[a]))
-    mapping: dict = {}
-    used: set = set()
-
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        a = order[idx]
-        for b in candidates[a]:
-            if b in used:
-                continue
-            if any((na in adj_a[a]) != (nb in adj_b[b])
-                   for na, nb in mapping.items()):
-                continue
-            mapping[a] = b
-            used.add(b)
-            if extend(idx + 1):
-                return True
-            del mapping[a]
-            used.discard(b)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None

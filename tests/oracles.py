@@ -9,7 +9,7 @@ from collections import deque
 import random
 import re
 
-from hyperset.errors import DomainError, ParseError, ValidationError
+from hyperset.errors import DomainError, ParseError, PreconditionError, ValidationError
 from hyperset.flat import FlatSystem
 from hyperset.rado import AckermannCoder, bit_adjacent
 from hyperset.reducts import LoopyGraph, MultiGraph
@@ -185,7 +185,7 @@ def naive_double_component(u, vertices, start):
     ``hyperset.witnesses.double_component_graph``.
     """
     graph = naive_undirect(u, vertices, "double_only")
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     if start not in adj:
         raise ValidationError(f"{start} is not among the vertices")
     seen = {start}
@@ -200,6 +200,77 @@ def naive_double_component(u, vertices, start):
     return LoopyGraph(vertices=comp,
                       edges=frozenset(e for e in graph.edges
                                       if e[0] in comp and e[1] in comp))
+
+
+def adjacency(graph: LoopyGraph) -> dict:
+    """Neighbour sets of a loopy graph's vertices, loops left out."""
+    adj = {v: set() for v in graph.vertices}
+    for a, b in graph.edges:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def pattern_loopy_graph(pattern) -> LoopyGraph:
+    """A ``PatternGraph`` as a loopy graph on 0..size-1."""
+    edges = set(pattern.edges)
+    edges.update((i, i) for i in pattern.loops)
+    return LoopyGraph(vertices=frozenset(range(pattern.size)), edges=frozenset(edges))
+
+
+def loopy_iso(ga: LoopyGraph, gb: LoopyGraph):
+    """A vertex bijection preserving edges and loops, or None.
+
+    Exhaustive backtracking with degree/loop pruning; deterministic
+    (first hit in sorted search order).  Capped at 10 vertices.  The
+    reference for ``hyperset.witnesses.component``, whose own check is
+    the image of one given bijection.
+    """
+    va, vb = sorted(ga.vertices), sorted(gb.vertices)
+    if len(va) > 10 or len(vb) > 10:
+        raise PreconditionError("exhaustive mode handles at most 10 vertices")
+    if len(va) != len(vb) or len(ga.edges) != len(gb.edges):
+        return None
+    loops_a, loops_b = ga.loops(), gb.loops()
+    if len(loops_a) != len(loops_b):
+        return None
+    adj_a, adj_b = adjacency(ga), adjacency(gb)
+
+    def signature(v, adj, loops):
+        return (len(adj[v]), v in loops)
+
+    candidates = {
+        a: [b for b in vb if signature(b, adj_b, loops_b) == signature(a, adj_a, loops_a)]
+        for a in va
+    }
+    if any(not c for c in candidates.values()):
+        return None
+    order = sorted(va, key=lambda a: len(candidates[a]))
+    mapping: dict = {}
+    used: set = set()
+
+    def extend(idx: int) -> bool:
+        if idx == len(order):
+            return True
+        a = order[idx]
+        for b in candidates[a]:
+            if b in used:
+                continue
+            if any((na in adj_a[a]) != (nb in adj_b[b])
+                   for na, nb in mapping.items()):
+                continue
+            mapping[a] = b
+            used.add(b)
+            if extend(idx + 1):
+                return True
+            del mapping[a]
+            used.discard(b)
+        return False
+
+    if extend(0):
+        return dict(mapping)
+    return None
 
 
 def dfs_has_reachable_cycle(u, s):

@@ -26,12 +26,17 @@ from hyperset.witnesses import (
     PatternGraph,
     component,
     double_component_graph,
-    loopy_iso,
     star,
     verify_loopy_witness,
 )
 
-from oracles import apgs_bisimilar, bisimilar_variant, random_apg
+from oracles import (
+    apgs_bisimilar,
+    bisimilar_variant,
+    loopy_iso,
+    pattern_loopy_graph,
+    random_apg,
+)
 from test_flat import random_system, renamed_permuted
 from test_cli import run as run_cli
 
@@ -97,7 +102,7 @@ def test_criterion_4_loopy_arp_witnesses():
     pool += [y] + xs
     tri = PatternGraph(size=3, edges=frozenset({(0, 1), (1, 2), (0, 2)}),
                        loops=frozenset({2}))
-    pool += component(u, tri, atom_seed=40)
+    pool += component(u, tri, atom_seed=40)[0]
 
     t0 = time.perf_counter()
     for trial in range(200):
@@ -155,11 +160,11 @@ def test_criterion_6_components_realize_patterns():
     patterns += [_random_connected_pattern(rng, 5) for _ in range(20)]
     t0 = time.perf_counter()
     for pat in patterns:
-        first = component(u, pat, atom_seed=0)   # self-verifies exactness
-        second = component(u, pat, atom_seed=100)
+        first, graph = component(u, pat, atom_seed=0)   # self-verifies exactness
+        second, _ = component(u, pat, atom_seed=100)
         assert set(first).isdisjoint(second), "atom ranges must give disjoint copies"
-        graph = double_component_graph(u, first)
-        assert loopy_iso(graph, pat.to_loopy_graph()) is not None
+        assert graph == double_component_graph(u, first)
+        assert loopy_iso(graph, pattern_loopy_graph(pat)) is not None
     report(6, "double-edge components realize every small pattern",
            time.perf_counter() - t0, 60,
            f"{len(patterns)} patterns x 2 atom seeds, store={len(u)} sets")

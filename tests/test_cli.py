@@ -2,11 +2,12 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from hyperset import cli
+from hyperset import cli, witnesses
 from hyperset.cli import main
 from hyperset.universe import Universe
 
@@ -25,6 +26,7 @@ loop 0
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_process(*argv):
@@ -101,7 +103,7 @@ def test_undirect_reads_each_membership_once(capsys, monkeypatch, name, mode):
     elements = Universe.elements
     monkeypatch.setattr(Universe, "elements",
                         lambda self, x: calls.append(x) or elements(self, x))
-    path = Path(__file__).resolve().parent / "golden" / f"{name}.hs"
+    path = GOLDEN / f"{name}.hs"
     code, _, err = run(capsys, "undirect", str(path), "--mode", mode)
     assert code == 0, err
     ((u, graph),) = graphs
@@ -117,7 +119,7 @@ def test_undirect_of_a_large_numeral_keeps_its_chain_implicit():
     # text layer encoded the whole output at once; written in 1 MiB
     # slices it takes about 170 MB
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    golden = Path(__file__).resolve().parent / "golden" / "numeral3000.hs"
+    golden = GOLDEN / "numeral3000.hs"
     proc = subprocess.Popen([sys.executable, "-m", "hyperset", "undirect", str(golden),
                              "--mode", "multi"], stdout=subprocess.PIPE,
                             env=dict(os.environ, PYTHONPATH=path))
@@ -284,6 +286,46 @@ def test_component_disconnected_pattern(tmp_path, capsys):
     f.write_text("vertices 2\nloop 0\nloop 1\n")
     code, _, err = run(capsys, "component", str(f))
     assert code == 1 and "error" in err
+
+
+def test_component_walks_the_double_edge_component_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    walk = witnesses.double_component
+    monkeypatch.setattr(witnesses, "double_component",
+                        lambda u, start: calls.append(start) or walk(u, start))
+    f = tmp_path / "pattern.txt"
+    f.write_text(FOUR_CYCLE)
+    code, out, err = run(capsys, "component", str(f))
+    assert code == 0, err
+    assert len(calls) == 1
+    assert out.endswith("check isomorphic pass\ncheck component_exact pass\n"
+                        "check distinct pass\n")
+
+
+def test_component_broken_post_condition_is_one_line_error(capsys, monkeypatch):
+    # a walk that loses a vertex breaks component's post-condition: the
+    # call prints no graph and no check line, only one error line
+    walk = witnesses.double_component
+    monkeypatch.setattr(witnesses, "double_component",
+                        lambda u, start: frozenset(sorted(walk(u, start))[1:]))
+    code, out, err = run(capsys, "component", str(GOLDEN / "pattern12.txt"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_component_on_a_long_path_is_linear(tmp_path):
+    # neighbours were found by scanning every vertex, so a 4,000-vertex
+    # path (40 KB) took 8.5 s; listed once from the edges it takes about 1 s
+    f = tmp_path / "path.txt"
+    f.write_text("vertices 4000\n" + "".join(f"edge {i} {i + 1}\n" for i in range(3999)))
+    t0 = time.perf_counter()
+    proc = run_process("component", str(f))
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("check isomorphic pass\ncheck component_exact pass\n"
+                                "check distinct pass\n")
+    assert elapsed < 3, elapsed
 
 
 def test_rado_check(capsys):

@@ -14,10 +14,13 @@ are the numerals vn(250..253) and vn(200..204).
 ``pattern5.seed1500.component`` ranks a closure that holds the numerals
 up to 1504, of which only the five atoms have parents off the chain, so
 it checks that the runs of numerals between them are ranked in one step
-each, not in one refinement round per numeral.  ``solve-numeral3000``
-is one equation over the numeral 3000: nothing in it has an order to
-choose, so it prints at once, while ranking its closure of 4.5 million
-memberships takes seconds.  ``numeral3000.double`` prints the
+each, not in one refinement round per numeral.  ``pattern12.component``
+has 12 vertices, more than the 10 up to which the CLI once re-checked a
+component by backtracking search; its output, written before that
+re-check went, checks that large and small patterns print alike.
+``solve-numeral3000`` is one equation over the numeral 3000: nothing in
+it has an order to choose, so it prints at once, while ranking its
+closure of 4.5 million memberships takes seconds.  ``numeral3000.double`` prints the
 double-edge reduct of the same closure, whose only edge is the loop on
 x, so it checks that ``undirect`` reads none of the 4.5 million
 numeral memberships, which took seconds too.  ``star4-seed2000`` does
@@ -72,6 +75,7 @@ CASES = {
     "pattern5.component": ["component", "{dir}/pattern5.txt"],
     "pattern5.seed200.component": ["component", "{dir}/pattern5.txt", "--seed", "200"],
     "pattern5.seed1500.component": ["component", "{dir}/pattern5.txt", "--seed", "1500"],
+    "pattern12.component": ["component", "{dir}/pattern12.txt"],
     "witness.loopy": ["witness", "--loopy", "--u", "0,{2},{{3}}", "--v", "1,{4}"],
     "census6.seed40": ["census", "--max-n", "6", "--seed", "40"],
     "rado.check20000": ["rado", "--check", "20000"],

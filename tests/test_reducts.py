@@ -234,7 +234,9 @@ def test_double_edge_neighbors_are_members(u):
     for _ in range(25):
         s = random_slice(u, rng)
         g = undirect(u, s, "double_only")
-        for a, b in g.plain_edges():
+        for a, b in g.edges:
+            if a == b:
+                continue
             assert u.is_member(a, b) and u.is_member(b, a)
             assert a in u.elements(b) and b in u.elements(a)
 

@@ -373,7 +373,7 @@ def test_structural_ranks_match_naive_on_star_and_component_closures():
         u = Universe()
         y, _ = star(u, 1 + seed % 5, atom_seed=seed)
         assert_ranks_match_from_roots(u, [y])
-        assert_ranks_match_from_roots(u, component(u, PENTAGON_WITH_CHORD, seed))
+        assert_ranks_match_from_roots(u, component(u, PENTAGON_WITH_CHORD, seed)[0])
 
 
 def test_structural_ranks_match_naive_on_sets_in_the_numeral_tail():

@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` times the layers by swapping module attributes of
 hyperset by name (``serialize.closure``, ``witnesses.undirect`` ...), so
 a rename or a dropped import breaks ``perfbench/run.py --trace 1``.
-Installing and uninstalling the recorder, with nothing run in between,
-catches that in the test suite.
+Installing and uninstalling the recorder catches that in the test suite;
+CLI calls run under the installed recorder catch a wrapper or hook that
+breaks what a wrapped function returns.
 """
 
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 MODULES = ("cli", "flat", "rado", "reducts", "serialize", "sysfile", "universe", "witnesses")
 
 
@@ -34,3 +36,25 @@ def test_span_recorder_installs_and_uninstalls():
     finally:
         rec.uninstall()
     assert {m: dict(vars(getattr(hs, m))) for m in MODULES} == before
+
+
+def test_wrapped_cli_calls_keep_their_output(capsys):
+    hs = SimpleNamespace(**{m: importlib.import_module(f"hyperset.{m}") for m in MODULES})
+    cases = {  # golden output name: argv
+        "pattern5.component": ["component", str(GOLDEN / "pattern5.txt")],
+        # three loopy-oracle vertices are pattern components
+        "game6.loopy1.loopy2": ["game", "--rounds", "6", "--left", "loopy:1",
+                                "--right", "loopy:2"],
+    }
+    rec = load_spans().Recorder()
+    rec.install(hs)
+    try:
+        for name, argv in cases.items():
+            assert hs.cli.main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
+    finally:
+        rec.uninstall()
+    calls = rec.totals()[2]
+    assert calls["witnesses.component"] == 4
+    assert calls["reducts.double_component"] == 4

@@ -20,12 +20,11 @@ from hyperset.witnesses import (
     arp_witness_simple,
     component,
     double_component_graph,
-    loopy_iso,
     star,
     verify_loopy_witness,
     verify_simple_witness,
 )
-from oracles import naive_double_component
+from oracles import loopy_iso, naive_double_component, pattern_loopy_graph
 
 OMEGA = Apg(children={0: frozenset({0})}, root=0)
 
@@ -189,14 +188,15 @@ def four_cycle_with_loop():
 
 def test_component_four_cycle_with_loop(u):
     pat = four_cycle_with_loop()
-    ys = component(u, pat, atom_seed=0)
+    ys, graph = component(u, pat, atom_seed=0)
     assert len(set(ys)) == 4
     # the built double-edge component is isomorphic to the pattern
     built = undirect(u, ys, "double_only")
     induced = LoopyGraph(vertices=frozenset(ys),
                          edges=frozenset(e for e in built.edges
                                          if e[0] in ys and e[1] in ys))
-    iso = loopy_iso(induced, pat.to_loopy_graph())
+    assert graph == induced == double_component_graph(u, ys)
+    iso = loopy_iso(induced, pattern_loopy_graph(pat))
     assert iso is not None
     assert has_loop(u, ys[0])
     assert not any(has_loop(u, y) for y in ys[1:])
@@ -204,14 +204,14 @@ def test_component_four_cycle_with_loop(u):
 
 def test_component_single_looped_vertex(u):
     pat = PatternGraph(size=1, edges=frozenset(), loops=frozenset({0}))
-    (y0,) = component(u, pat, atom_seed=5)
+    (y0,), _ = component(u, pat, atom_seed=5)
     assert has_loop(u, y0)
     assert set(u.elements(y0)) == {u.vn(5), y0}
 
 
 def test_component_single_plain_vertex(u):
     pat = PatternGraph(size=1, edges=frozenset(), loops=frozenset())
-    (y0,) = component(u, pat, atom_seed=2)
+    (y0,), _ = component(u, pat, atom_seed=2)
     assert not has_loop(u, y0)
     assert u.elements(y0) == (u.vn(2),)
 
@@ -219,14 +219,14 @@ def test_component_single_plain_vertex(u):
 def test_component_two_seeds_disjoint(u):
     tri = PatternGraph(size=3, edges=frozenset({(0, 1), (1, 2), (0, 2)}),
                        loops=frozenset())
-    first = component(u, tri, atom_seed=0)
-    second = component(u, tri, atom_seed=50)
+    first, _ = component(u, tri, atom_seed=0)
+    second, _ = component(u, tri, atom_seed=50)
     assert set(first).isdisjoint(second)
     built = undirect(u, first, "double_only")
     g1 = LoopyGraph(vertices=frozenset(first),
                     edges=frozenset(e for e in built.edges
                                     if e[0] in first and e[1] in first))
-    assert loopy_iso(g1, tri.to_loopy_graph()) is not None
+    assert loopy_iso(g1, pattern_loopy_graph(tri)) is not None
 
 
 def test_component_rejects_disconnected_pattern(u):
@@ -236,13 +236,13 @@ def test_component_rejects_disconnected_pattern(u):
 
 
 def test_component_graphs_match_naive_oracle(u):
-    built = [component(u, four_cycle_with_loop(), atom_seed=3)]
+    built = [component(u, four_cycle_with_loop(), atom_seed=3)[0]]
     tri = PatternGraph(size=3, edges=frozenset({(0, 1), (1, 2), (0, 2)}),
                        loops=frozenset({0, 2}))
-    built.append(component(u, tri, atom_seed=40))
+    built.append(component(u, tri, atom_seed=40)[0])
     path = PatternGraph(size=5, edges=frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}),
                         loops=frozenset({4}))
-    built.append(component(u, path, atom_seed=7))
+    built.append(component(u, path, atom_seed=7)[0])
     y, xs = star(u, 4, atom_seed=11)
     built.append([y] + xs)
     s = closure(u, [v for ys in built for v in ys])
@@ -263,7 +263,7 @@ def test_double_edge_walk_builds_no_reduct(u, monkeypatch):
     monkeypatch.setattr(reducts, "undirect", refuse)
     monkeypatch.setattr(witnesses, "undirect", refuse)
     y, xs = star(u, 3, atom_seed=2)
-    ys = component(u, four_cycle_with_loop(), atom_seed=9)
+    ys, _ = component(u, four_cycle_with_loop(), atom_seed=9)
     assert double_component(u, y) == {y, *xs}
     graph = double_component_graph(u, ys)
     assert graph.vertices == set(ys) and graph.loops() == {ys[0]}
@@ -278,7 +278,7 @@ def test_double_edge_constructions_build_no_closure(u, monkeypatch, capsys):
         monkeypatch.setattr(module, "closure", refuse)
         monkeypatch.setattr(module, "undirect", refuse)
     y, xs = star(u, 3, atom_seed=2)
-    ys = component(u, four_cycle_with_loop(), atom_seed=9)
+    ys, _ = component(u, four_cycle_with_loop(), atom_seed=9)
     assert double_component_graph(u, [y]).vertices == {y, *xs}
     assert double_component_graph(u, ys).vertices == set(ys)
     assert cli.main(["census", "--max-n", "4", "--seed", "200"]) == 0
