@@ -32,15 +32,7 @@ from .rado import (
     hf_membership_oracle,
     hyperset_loopy_oracle,
 )
-from .reducts import (
-    LoopyGraph,
-    MultiGraph,
-    closure,
-    double_component,
-    double_degree,
-    has_loop,
-    undirect,
-)
+from .reducts import MultiGraph, closure, double_component, double_degree, has_loop, undirect
 from .serialize import emit_graph, format_system, normal_form, serialize_set
 from .sysfile import parse_pattern, parse_set_literal, parse_set_literals, parse_system
 from .universe import Apg, SetId, Universe
@@ -59,7 +51,7 @@ from .witnesses import (
 __all__ = [
     "Apg", "SetId", "Universe",
     "FlatSystem", "solve", "validate",
-    "LoopyGraph", "MultiGraph", "closure", "undirect",
+    "MultiGraph", "closure", "undirect",
     "double_degree", "double_component", "has_loop",
     "WitnessReport", "PatternGraph",
     "arp_witness_simple", "arp_witness_loopy",

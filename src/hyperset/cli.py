@@ -86,11 +86,10 @@ def cmd_solve(args) -> int:
 def cmd_undirect(args) -> int:
     u = _universe()
     solution = solve(u, parse_system(u, _read(args.file)))
-    mode = "double_only" if args.mode == "double" else args.mode
-    graph = undirect(u, solution.values(), mode)
+    graph = undirect(u, solution.values(), "double_only" if args.mode == "double" else args.mode)
     if not graph.vertices:
         return 0
-    _write_graph(emit_graph(u, graph, mode))
+    _write_graph(emit_graph(u, graph))
     return 0
 
 
@@ -128,7 +127,7 @@ def cmd_witness(args) -> int:
 def cmd_star(args) -> int:
     u = _universe()
     y, _xs = star(u, args.n, atom_seed=args.seed)
-    _write_graph(emit_graph(u, double_component_graph(u, [y]), "double_only"))
+    _write_graph(emit_graph(u, double_component_graph(u, [y])))
     return 0
 
 
@@ -136,7 +135,7 @@ def cmd_component(args) -> int:
     u = _universe()
     pattern = parse_pattern(_read(args.file), fmt=args.pattern_format)
     _ys, graph = component(u, pattern, atom_seed=args.seed)  # raises unless the checks hold
-    _write_graph(emit_graph(u, graph, "double_only"))
+    _write_graph(emit_graph(u, graph))
     sys.stdout.write("check isomorphic pass\n"
                      "check component_exact pass\n"
                      "check distinct pass\n")

@@ -3,11 +3,13 @@
 Each reduct is taken on the closure of the sets it is given, the
 smallest element-closed vertex set holding them, so it looks only at
 memberships among sets that exist already and is stable under
-unrelated growth of the universe.  Double edges (mutual membership
-between distinct sets) and loops (x in x) are accounted separately,
-matching how the two statistics behave.  The memberships among the
-numerals of a closure follow from their chain and are never read: a
-reduct's edges are read-only views over the pairs it read and that chain.
+unrelated growth of the universe.  Every reduct is one
+:class:`MultiGraph` whose ``multiplicity`` holds what it prints: 2 on
+a double edge (mutual membership between distinct sets) where the
+reduct keeps double edges, 1 on every other edge and on each loop
+(x in x).  The memberships among the numerals of a closure follow from
+their chain and are never read: a reduct's multiplicities are a
+read-only view over the pairs it read and that chain.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from .universe import SetId, Universe, _walk, _walk_to_numerals
 MODES = ("loopy", "multi", "double_only")
 
 
-class _Chained:
-    """``pairs``, then the unstored (chain[i], chain[j]) for i < j."""
+class Multiplicities(Mapping):
+    """Read-only edge -> multiplicity mapping: ``pairs``, then the
+    unstored (chain[i], chain[j]) for i < j, each of multiplicity 1."""
 
     def __init__(self, pairs, chain: tuple = ()):
         self.pairs, self.chain, self.on = pairs, chain, frozenset(chain)
@@ -39,39 +42,18 @@ class _Chained:
     def __iter__(self):
         return itertools.chain(self.pairs, itertools.combinations(self.chain, 2))
 
-
-class Multiplicities(_Chained, Mapping):
-    """Read-only edge -> multiplicity mapping; chain pairs have 1."""
-
     def __getitem__(self, key) -> int:
         return 1 if key not in self.pairs and key in self else self.pairs[key]
 
-
-class EdgeSet(_Chained, Set):
-    def __hash__(self) -> int:  # a read-only set of edges, hashable as a frozenset is
-        return self._hash()
-
-
-@dataclass(frozen=True)
-class LoopyGraph:
-    """Simple undirected graph with loops; edges are (a, b) with a <= b
-    and loops are (a, a).  ``edges`` is a read-only :class:`EdgeSet`."""
-
-    vertices: frozenset
-    edges: Set[tuple]
-
-    def __post_init__(self):
-        if not isinstance(self.edges, EdgeSet):  # a plain set has no chain
-            object.__setattr__(self, "edges", EdgeSet(self.edges))
-
-    def loops(self) -> frozenset:
-        return frozenset(a for a, b in self.edges if a == b)
+    def __hash__(self) -> int:  # equal mappings hash equal, chain or not
+        return hash(frozenset(self.items()))
 
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """Undirected multigraph: ``multiplicity``, a read-only ``Mapping``,
-    takes each edge to 1 or 2, and each loop, keyed (a, a), to 1."""
+    """Undirected multigraph with loops: ``multiplicity``, a read-only
+    ``Mapping``, takes each edge (a, b), a < b, to the multiplicity it
+    prints, 1 or 2, and each loop, keyed (a, a), to 1."""
 
     vertices: frozenset[SetId]
     multiplicity: Mapping[tuple, int]
@@ -80,19 +62,27 @@ class MultiGraph:
         if not isinstance(self.multiplicity, Multiplicities):  # a plain dict has no chain
             object.__setattr__(self, "multiplicity", Multiplicities(self.multiplicity))
 
+    @property
+    def edges(self) -> Set[tuple]:
+        """The edges and loops, a read-only set view."""
+        return self.multiplicity.keys()
+
+    def loops(self) -> frozenset:
+        return frozenset(a for a, b in self.multiplicity.pairs if a == b)
+
 
 def closure(u: Universe, seeds: Iterable[SetId]) -> frozenset[SetId]:
     """Smallest element-closed vertex set containing the seeds."""
     return _walk(seeds, u.elements)  # elements() checks each seed
 
 
-def undirect(u: Universe, sets: Iterable[SetId], mode: str):
+def undirect(u: Universe, sets: Iterable[SetId], mode: str) -> MultiGraph:
     """Undirected reduct of membership on the closure of ``sets``.
 
-    ``loopy``: edge {x,y} iff x in y or y in x, loops kept, no
-    multiplicities.  ``multi``: multiplicity 2 iff mutual membership
-    between distinct sets, else 1.  ``double_only``: keep exactly the
-    mutual-membership pairs and the loops.
+    ``loopy``: edge {x,y} iff x in y or y in x, loops kept, every
+    multiplicity 1.  ``multi``: multiplicity 2 iff mutual membership
+    between distinct sets, else 1.  ``double_only``: exactly the
+    mutual-membership pairs, of multiplicity 2, and the loops.
     One walk builds the closure and reads each membership once as it
     goes; a pair met twice is a double edge, since elements never
     repeat.  The walk stops at numerals, whose memberships are the
@@ -110,11 +100,11 @@ def undirect(u: Universe, sets: Iterable[SetId], mode: str):
         return elems
 
     verts, chain = _walk_to_numerals(u, sets, count)
-    if mode == "multi":
-        return MultiGraph(vertices=verts, multiplicity=Multiplicities(mult, chain))
-    if mode == "double_only":  # the chain has no loop or double edge
-        mult, chain = [key for key, m in mult.items() if m == 2 or key[0] == key[1]], ()
-    return LoopyGraph(vertices=verts, edges=EdgeSet(frozenset(mult), chain))
+    if mode == "loopy":
+        mult = dict.fromkeys(mult, 1)
+    elif mode == "double_only":  # the chain has no loop or double edge
+        mult, chain = {key: m for key, m in mult.items() if m == 2 or key[0] == key[1]}, ()
+    return MultiGraph(vertices=verts, multiplicity=Multiplicities(mult, chain))
 
 
 def has_loop(u: Universe, x: SetId) -> bool:

@@ -43,7 +43,7 @@ from .flat import FlatSystem
 from .rado import AckermannCoder
 # perfbench/spans.py patches closure on this module by name; it is
 # imported only for that.
-from .reducts import LoopyGraph, MultiGraph, closure
+from .reducts import MultiGraph, closure
 from .universe import SetId, Universe, _walk_to_numerals, refine_ranks
 
 NU = "ν"  # ν
@@ -242,9 +242,9 @@ def format_system(u: Universe, sys: FlatSystem) -> str:
 # -- graph output -------------------------------------------------------------
 
 
-def emit_graph(u: Universe, graph, mode: str) -> str:
+def emit_graph(u: Universe, graph: MultiGraph) -> str:
     """Line-based graph text: ``v <index> <label> [loop]`` then
-    ``e <i> <j> <multiplicity>``.
+    ``e <i> <j> <multiplicity>``, printing ``graph.multiplicity``.
 
     Vertices are emitted well-founded first in code order, then
     non-well-founded in structural-rank order, and numbered from 0 in
@@ -252,8 +252,9 @@ def emit_graph(u: Universe, graph, mode: str) -> str:
     bound, else ``wf<i>``; non-well-founded sets are ``nu<i>``.
     Each order walks the closure of the vertices it sorts and stops at
     numerals, so printing a graph reads no numeral's elements.  Edges
-    print row by row: a numeral of the edges' chain also meets every
-    larger one, at rising positions, since vn(k) has code rank k.
+    print row by row: a numeral of the multiplicities' chain also meets
+    every larger one, at rising positions and multiplicity 1, since
+    vn(k) has code rank k.
     """
     wf: list[SetId] = []
     nw: list[SetId] = []
@@ -266,18 +267,11 @@ def emit_graph(u: Universe, graph, mode: str) -> str:
     ordered = wf + nw
     pos = {s: i for i, s in enumerate(ordered)}
 
-    if isinstance(graph, MultiGraph):
-        edges, m = graph.multiplicity, 1
-        pairs = edges.pairs.items()
-    elif isinstance(graph, LoopyGraph):
-        edges, m = graph.edges, 2 if mode == "double_only" else 1
-        pairs = ((e, m) for e in edges.pairs)
-    else:
-        raise ValidationError(f"cannot emit {type(graph).__name__}")
     # row i lists 2j + k - 1, the cell "j k", for each edge i<j of multiplicity k
+    mult = graph.multiplicity
     n = len(ordered)
     loops, rows = set(), {}
-    for (a, b), k in pairs:
+    for (a, b), k in mult.pairs.items():
         if a == b:
             loops.add(a)
         elif k not in (1, 2):
@@ -285,7 +279,7 @@ def emit_graph(u: Universe, graph, mode: str) -> str:
         else:
             i, j = sorted((pos[a], pos[b]))
             rows.setdefault(i, []).append(2 * j + k - 1)
-    tail = [2 * pos[s] + m - 1 for s in edges.chain]
+    tail = [2 * pos[s] for s in mult.chain]
     after = {t // 2: c + 1 for c, t in enumerate(tail)}
     cells = [f"{j} {k}" for j in range(n) for k in (1, 2)]
 

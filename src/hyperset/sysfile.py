@@ -232,7 +232,8 @@ def parse_pattern(text: str, fmt: str = "edges") -> PatternGraph:
         edge 0 1
         loop 0
 
-    matrix format: one 0/1 row per line, symmetric, diagonal = loops.
+    matrix format: one 0/1 row per line, symmetric, diagonal = loops;
+    a row's entries are separated by whitespace or written together.
     """
     if fmt == "edges":
         return _parse_pattern_edges(text)
@@ -249,6 +250,7 @@ def _parse_pattern_edges(text: str) -> PatternGraph:
     size = None
     edges = set()
     loops = set()
+    ends = []  # (line, smaller end, larger end) of each edge and loop line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
@@ -265,16 +267,24 @@ def _parse_pattern_edges(text: str) -> PatternGraph:
                 raise ParseError("edge endpoints must be naturals", lineno, 1)
             if i == j:
                 raise ParseError("use `loop` for self-edges", lineno, 1)
-            edges.add((min(i, j), max(i, j)))
+            i, j = min(i, j), max(i, j)
+            edges.add((i, j))
+            ends.append((lineno, i, j))
         elif parts[0] == "loop" and len(parts) == 2:
             try:
-                loops.add(int(parts[1]))
+                i = int(parts[1])
             except ValueError:
                 raise ParseError("loop vertex must be a natural", lineno, 1)
+            loops.add(i)
+            ends.append((lineno, i, i))
         else:
             raise ParseError(f"unrecognized pattern line {line!r}", lineno, 1)
     if size is None:
         raise ParseError("missing `vertices N` line", 1, 1)
+    for lineno, i, j in ends:  # an edge's ends differ, a loop's are equal
+        if size and (i < 0 or j >= size):  # no vertex at all is PatternGraph's error
+            raise ParseError(f"bad loop vertex {i}" if i == j else f"bad edge ({i}, {j})",
+                             lineno, 1)
     try:
         return PatternGraph(size=size, edges=frozenset(edges), loops=frozenset(loops))
     except Exception as exc:
@@ -287,7 +297,9 @@ def _parse_pattern_matrix(text: str) -> PatternGraph:
         line = _strip_comment(raw)
         if not line:
             continue
-        entries = line.split() if " " in line else list(line)
+        entries = line.split()
+        if len(entries) == 1:  # a row with no whitespace is a run of digits
+            entries = list(line)
         if not all(e in ("0", "1") for e in entries):
             raise ParseError(f"matrix rows are 0/1, got {line!r}", lineno, 1)
         rows.append([int(e) for e in entries])

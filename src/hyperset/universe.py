@@ -504,8 +504,9 @@ class Universe:
         self._wf.append(wf)
         # every color is sid: its native 8 bytes, once per round
         self._colors.frombytes(sid.to_bytes(8, sys.byteorder) * (COLOR_ROUNDS + 1))
-        assert elems not in self._intern
+        n = len(self._intern)  # the key is new if the dict grows: one hash, not two
         self._intern[elems] = sid
+        assert len(self._intern) > n
         vn = self._vn
         if len(elems) == len(vn) and (not vn or elems[-1] == vn[-1]) and elems == vn:
             self._vn = vn + (sid,)
@@ -527,8 +528,9 @@ class Universe:
             self._elems.append(key)
             self._wf.append(False)
             self._colors.extend(colors or _UNCOLORED)
-            assert key not in self._intern
+            n = len(self._intern)
             self._intern[key] = sid
+            assert len(self._intern) > n
             if colors is None:
                 self._uncolored.append(sid)
             else:

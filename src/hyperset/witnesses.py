@@ -24,7 +24,7 @@ from .errors import ContractViolation, PreconditionError, ValidationError
 # on this module by name; closure and undirect are imported only for that.
 from .flat import FlatSystem, solve
 from .reducts import (
-    LoopyGraph,
+    MultiGraph,
     closure,
     double_component,
     double_degree,
@@ -224,7 +224,7 @@ class PatternGraph:
 
 
 def component(u: Universe, g: PatternGraph,
-              atom_seed: int = 0) -> tuple[list[SetId], LoopyGraph]:
+              atom_seed: int = 0) -> tuple[list[SetId], MultiGraph]:
     """Sets whose double-edge component realizes the pattern exactly,
     and that component as a graph.
 
@@ -267,8 +267,9 @@ def component(u: Universe, g: PatternGraph,
     return ys, graph
 
 
-def double_component_graph(u: Universe, members) -> LoopyGraph:
-    """Double-edge component of ``members[0]`` as a standalone graph.
+def double_component_graph(u: Universe, members) -> MultiGraph:
+    """Double-edge component of ``members[0]`` as a standalone graph:
+    multiplicity 2 on its double edges and 1 on its loops.
 
     Double neighbours are elements, so the walk stays inside the
     closure of ``members`` without building it; every member is checked
@@ -278,6 +279,6 @@ def double_component_graph(u: Universe, members) -> LoopyGraph:
         u.elements(m)
     comp = double_component(u, members[0])
     # y == x is a loop; a double edge is listed from its smaller end
-    return LoopyGraph(vertices=comp, edges=frozenset(
-        (x, y) for x in comp for y in u.elements(x)
-        if y == x or (x < y and u.is_member(x, y))))
+    return MultiGraph(vertices=comp, multiplicity={
+        (x, y): 1 if y == x else 2 for x in comp for y in u.elements(x)
+        if y == x or (x < y and u.is_member(x, y))})

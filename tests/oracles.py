@@ -12,7 +12,7 @@ import re
 from hyperset.errors import DomainError, ParseError, PreconditionError, ValidationError
 from hyperset.flat import FlatSystem
 from hyperset.rado import AckermannCoder, bit_adjacent
-from hyperset.reducts import LoopyGraph, MultiGraph
+from hyperset.reducts import MultiGraph
 from hyperset.serialize import structural_ranks, wf_code_index
 from hyperset.universe import Apg
 
@@ -197,13 +197,13 @@ def naive_double_component(u, vertices, start):
                 seen.add(y)
                 queue.append(y)
     comp = frozenset(seen)
-    return LoopyGraph(vertices=comp,
-                      edges=frozenset(e for e in graph.edges
-                                      if e[0] in comp and e[1] in comp))
+    return MultiGraph(vertices=comp,
+                      multiplicity={e: m for e, m in graph.multiplicity.items()
+                                    if e[0] in comp and e[1] in comp})
 
 
-def adjacency(graph: LoopyGraph) -> dict:
-    """Neighbour sets of a loopy graph's vertices, loops left out."""
+def adjacency(graph: MultiGraph) -> dict:
+    """Neighbour sets of a graph's vertices, loops left out."""
     adj = {v: set() for v in graph.vertices}
     for a, b in graph.edges:
         if a != b:
@@ -212,14 +212,15 @@ def adjacency(graph: LoopyGraph) -> dict:
     return adj
 
 
-def pattern_loopy_graph(pattern) -> LoopyGraph:
-    """A ``PatternGraph`` as a loopy graph on 0..size-1."""
-    edges = set(pattern.edges)
-    edges.update((i, i) for i in pattern.loops)
-    return LoopyGraph(vertices=frozenset(range(pattern.size)), edges=frozenset(edges))
+def pattern_loopy_graph(pattern) -> MultiGraph:
+    """A ``PatternGraph`` as a loopy graph on 0..size-1: every edge and
+    loop of multiplicity 1."""
+    edges = dict.fromkeys(pattern.edges, 1)
+    edges.update(((i, i), 1) for i in pattern.loops)
+    return MultiGraph(vertices=frozenset(range(pattern.size)), multiplicity=edges)
 
 
-def loopy_iso(ga: LoopyGraph, gb: LoopyGraph):
+def loopy_iso(ga: MultiGraph, gb: MultiGraph):
     """A vertex bijection preserving edges and loops, or None.
 
     Exhaustive backtracking with degree/loop pruning; deterministic
@@ -398,9 +399,10 @@ def naive_undirect(u, vertices, mode):
     ``is_member``; the reference for ``hyperset.reducts.undirect``.
 
     A pair (x, y) with x <= y is an edge when x in y or y in x, a double
-    edge when both hold (for x == y, a loop); ``loopy`` keeps every
-    edge, ``double_only`` the double ones, and ``multi`` gives double
-    edges between distinct sets multiplicity 2 and the rest 1.
+    edge when both hold (for x == y, a loop).  Double edges between
+    distinct sets have multiplicity 2 and the rest 1; ``multi`` keeps
+    every edge, ``double_only`` the double ones and the loops, and
+    ``loopy`` every edge at multiplicity 1.
     """
     verts = sorted(vertices)
     mult = {}
@@ -409,13 +411,12 @@ def naive_undirect(u, vertices, mode):
             down, up = u.is_member(x, y), u.is_member(y, x)
             if down or up:
                 mult[(x, y)] = 2 if down and up and x != y else 1
-    if mode == "multi":
-        return MultiGraph(vertices=frozenset(verts), multiplicity=mult)
     if mode == "loopy":
-        edges = set(mult)
-    else:
-        edges = {(x, y) for x, y in mult if u.is_member(x, y) and u.is_member(y, x)}
-    return LoopyGraph(vertices=frozenset(verts), edges=frozenset(edges))
+        mult = {key: 1 for key in mult}
+    elif mode == "double_only":
+        mult = {(x, y): m for (x, y), m in mult.items()
+                if u.is_member(x, y) and u.is_member(y, x)}
+    return MultiGraph(vertices=frozenset(verts), multiplicity=mult)
 
 
 # -- system files ------------------------------------------------------------
@@ -571,7 +572,7 @@ def naive_parse_set_literal(u, text):
 # -- graph output -------------------------------------------------------------
 
 
-def naive_emit_graph(u, graph, mode):
+def naive_emit_graph(u, graph):
     """Reference for ``hyperset.serialize.emit_graph``: the same vertex
     order and labels, with each edge kept as a sorted (i, j, m) triple."""
     wf = sorted(s for s in graph.vertices if u.is_well_founded(s))
@@ -582,13 +583,8 @@ def naive_emit_graph(u, graph, mode):
         nw.sort(key=structural_ranks(u, nw).__getitem__)
     ordered = wf + nw
     pos = {s: i for i, s in enumerate(ordered)}
-    if isinstance(graph, MultiGraph):
-        mults = graph.multiplicity.items()
-    else:
-        default = 2 if mode == "double_only" else 1
-        mults = ((e, default) for e in graph.edges)
     loops, edges = set(), []
-    for (a, b), m in mults:
+    for (a, b), m in graph.multiplicity.items():
         if a == b:
             loops.add(a)
         else:

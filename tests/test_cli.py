@@ -99,7 +99,7 @@ def test_undirect_reads_each_membership_once(capsys, monkeypatch, name, mode):
     # that it reads no numeral's: their memberships are the chain's
     graphs, calls = [], []
     monkeypatch.setattr(cli, "emit_graph",
-                        lambda u, graph, mode: graphs.append((u, graph)) or "")
+                        lambda u, graph: graphs.append((u, graph)) or "")
     elements = Universe.elements
     monkeypatch.setattr(Universe, "elements",
                         lambda self, x: calls.append(x) or elements(self, x))
@@ -279,6 +279,16 @@ def test_component_matrix_format(tmp_path, capsys):
     assert code == 0, err
     verts, edges = parse_graph_output(out.split("check")[0])
     assert len(verts) == 2 and len(edges) == 1
+
+
+@pytest.mark.parametrize("text, error", [
+    ("vertices 3\nedge 0 1\nedge 1 2\nedge 2 7\n", "error: 4:1: bad edge (2, 7)\n"),
+    ("vertices 2\nedge 0 1\nloop 4\n", "error: 3:1: bad loop vertex 4\n"),
+])
+def test_component_pattern_range_error_names_its_line(tmp_path, capsys, text, error):
+    f = tmp_path / "pattern.txt"
+    f.write_text(text)
+    assert run(capsys, "component", str(f)) == (1, "", error)
 
 
 def test_component_disconnected_pattern(tmp_path, capsys):

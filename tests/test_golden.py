@@ -18,6 +18,8 @@ each, not in one refinement round per numeral.  ``pattern12.component``
 has 12 vertices, more than the 10 up to which the CLI once re-checked a
 component by backtracking search; its output, written before that
 re-check went, checks that large and small patterns print alike.
+``pattern5m.component`` reads ``pattern5`` as a space-separated 0/1
+matrix and prints exactly what ``pattern5.component`` prints.
 ``solve-numeral3000`` is one equation over the numeral 3000: nothing in
 it has an order to choose, so it prints at once, while ranking its
 closure of 4.5 million memberships takes seconds.  ``numeral3000.double`` prints the
@@ -76,6 +78,7 @@ CASES = {
     "pattern5.seed200.component": ["component", "{dir}/pattern5.txt", "--seed", "200"],
     "pattern5.seed1500.component": ["component", "{dir}/pattern5.txt", "--seed", "1500"],
     "pattern12.component": ["component", "{dir}/pattern12.txt"],
+    "pattern5m.component": ["component", "{dir}/pattern5m.txt", "--pattern-format", "matrix"],
     "witness.loopy": ["witness", "--loopy", "--u", "0,{2},{{3}}", "--v", "1,{4}"],
     "census6.seed40": ["census", "--max-n", "6", "--seed", "40"],
     "rado.check20000": ["rado", "--check", "20000"],

@@ -195,7 +195,7 @@ def test_coding_keeps_no_universe_alive():
     oracle = hf_membership_oracle(uni)
     oracle.label(oracle.vertex(3))
     sl = closure(uni, [ackermann_decode(uni, 5)])
-    emit_graph(uni, undirect(uni, sl, "loopy"), "loopy")
+    emit_graph(uni, undirect(uni, sl, "loopy"))
     del uni, oracle, sl
     gc.collect()
     assert ref() is None

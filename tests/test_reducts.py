@@ -7,8 +7,6 @@ from hyperset.errors import UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
 from hyperset.reducts import (
     MODES,
-    EdgeSet,
-    LoopyGraph,
     MultiGraph,
     Multiplicities,
     closure,
@@ -71,15 +69,16 @@ def test_walk_steps_each_vertex_once(u, monkeypatch):
 def test_loopy_reduct_of_vn1(u):
     empty, one = u.vn(0), u.vn(1)
     g = undirect(u, closure(u, [one]), "loopy")
-    assert isinstance(g, LoopyGraph)
+    assert isinstance(g, MultiGraph)
     assert g.edges == {(min(empty, one), max(empty, one))}
+    assert g.multiplicity == {(min(empty, one), max(empty, one)): 1}
     assert g.loops() == frozenset()
 
 
 def test_double_only_reduct_of_quine_atom(u):
     omega = u.canonicalize(OMEGA)
     g = undirect(u, closure(u, [omega]), "double_only")
-    assert g.edges == {(omega, omega)}
+    assert g.multiplicity == {(omega, omega): 1}
     assert g.loops() == {omega}
 
 
@@ -109,7 +108,8 @@ def test_undirect_matches_pairwise_membership():
     for root in roots:
         sl = closure(u, [root])
         for mode in MODES:
-            assert undirect(u, sl, mode) == naive_undirect(u, sl, mode)
+            g, ref = undirect(u, sl, mode), naive_undirect(u, sl, mode)
+            assert g == ref and hash(g) == hash(ref)
         with pytest.raises(ValidationError, match="unknown mode"):
             undirect(u, sl, "bogus")
 
@@ -284,11 +284,15 @@ def test_undirect_leaves_numeral_memberships_implicit(u):
         sl = closure(u, [root])
         for mode in MODES:
             g, ref = undirect(u, [root], mode), naive_undirect(u, sl, mode)
-            assert g == ref and ref == g
-            view = g.multiplicity if mode == "multi" else g.edges
-            plain = ref.multiplicity.pairs if mode == "multi" else ref.edges.pairs
-            assert isinstance(view, Multiplicities if mode == "multi" else EdgeSet)
+            assert g == ref and ref == g and hash(g) == hash(ref)
+            view, plain = g.multiplicity, ref.multiplicity.pairs
+            assert isinstance(view, Multiplicities)
             assert_view_matches(view, plain, sl, view.chain)
+            assert g.edges == plain.keys() and g.loops() == ref.loops()
+            # loopy prints every edge once, double_only keeps no single edge
+            values = {m for (a, b), m in plain.items() if a != b}
+            assert values <= {"loopy": {1}, "multi": {1, 2}, "double_only": {2}}[mode]
+            assert all(m == 1 for (a, b), m in plain.items() if a == b)
             # no numeral-to-numeral pair is stored, and double_only has no chain
             numerals = {s for s in sl if u.numeral_of(s) is not None}
             assert view.chain == (() if mode == "double_only" else u.numerals()[:len(numerals)])
@@ -304,10 +308,9 @@ def test_graphs_from_plain_dicts_and_sets_are_views_without_a_chain(u):
     assert isinstance(g.multiplicity, Multiplicities) and g.multiplicity.chain == ()
     assert g.multiplicity == mult and g == MultiGraph(vertices=frozenset({x, y}),
                                                        multiplicity=dict(mult))
-    h = LoopyGraph(vertices=frozenset({x, y}), edges=frozenset(mult))
-    assert isinstance(h.edges, EdgeSet) and h.edges == frozenset(mult)
-    assert hash(h) == hash(LoopyGraph(vertices=frozenset({x, y}), edges=frozenset(mult)))
-    assert hash(h.edges) == hash(frozenset(mult))
+    assert g.edges == frozenset(mult) and g.loops() == {x}
+    assert hash(g) == hash(MultiGraph(vertices=frozenset({x, y}), multiplicity=dict(mult)))
+    assert hash(g.multiplicity) == hash(frozenset(mult.items()))
 
 
 class CountingUniverse(Universe):
@@ -342,7 +345,7 @@ def test_undirect_and_emit_graph_peak_memory_on_a_numeral_chain(u):
     tracemalloc.start()
     try:
         g = undirect(u, [x], "multi")
-        text = emit_graph(u, g, "multi")
+        text = emit_graph(u, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ from hyperset import serialize
 from hyperset.cli import main
 from hyperset.errors import DomainError, UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
-from hyperset.reducts import LoopyGraph, MultiGraph, closure, undirect
+from hyperset.reducts import MultiGraph, closure, undirect
 from hyperset.serialize import (
     emit_graph,
     format_system,
@@ -108,7 +108,7 @@ def test_serialization_never_grows_the_store(u):
         "atom a0 = {1,{1},{2},{3},{4},{5},{6},{7}}\nx = {a0,x}\n")
     serialize_set(u, x)
     serialize_set(u, system.atoms["a"])
-    emit_graph(u, undirect(u, sl, "loopy"), "loopy")
+    emit_graph(u, undirect(u, sl, "loopy"))
     assert len(u) == size
 
 
@@ -219,7 +219,7 @@ def test_format_system_rejects_hyperset_atom(u):
 
 def test_emit_graph_shapes(u):
     sol = solve(u, parse_system(u, PAIR_TEXT))
-    text = emit_graph(u, undirect(u, sol.values(), "double_only"), "double_only")
+    text = emit_graph(u, undirect(u, sol.values(), "double_only"))
     verts, edges = parse_graph_output(text)
     labels = [lab for _, lab, _ in verts]
     assert labels[:2] == ["0", "1"]            # vn(0), vn(1) by code
@@ -231,7 +231,7 @@ def test_emit_graph_shapes(u):
 def test_emit_graph_loop_flag(u):
     omega = u.canonicalize(OMEGA)
     sl = closure(u, [omega])
-    text = emit_graph(u, undirect(u, sl, "loopy"), "loopy")
+    text = emit_graph(u, undirect(u, sl, "loopy"))
     verts, edges = parse_graph_output(text)
     assert verts == [(0, "nu0", True)]
     assert edges == []
@@ -239,7 +239,7 @@ def test_emit_graph_loop_flag(u):
 
 def test_emit_graph_multi_mode(u):
     sol = solve(u, parse_system(u, PAIR_TEXT))
-    text = emit_graph(u, undirect(u, sol.values(), "multi"), "multi")
+    text = emit_graph(u, undirect(u, sol.values(), "multi"))
     verts, edges = parse_graph_output(text)
     mult_by_pair = {(i, j): m for i, j, m in edges}
     assert 2 in mult_by_pair.values()
@@ -259,11 +259,9 @@ def test_emit_graph_matches_the_triple_reference(data):
         pairs = data.draw(st.dictionaries(st.tuples(vertex, vertex), st.sampled_from([1, 2]),
                                           max_size=30))
         mult = {(a, b): 1 if a == b else m for (a, b), m in pairs.items()}
-    graphs = [MultiGraph(vertices=frozenset(verts), multiplicity=mult),
-              LoopyGraph(vertices=frozenset(verts), edges=frozenset(mult))]
-    for graph in graphs:
-        for mode in ("multi", "loopy", "double_only"):
-            assert emit_graph(u, graph, mode) == naive_emit_graph(u, graph, mode)
+    for mults in (mult, dict.fromkeys(mult, 1), dict.fromkeys(mult, 2)):
+        graph = MultiGraph(vertices=frozenset(verts), multiplicity=mults)
+        assert emit_graph(u, graph) == naive_emit_graph(u, graph)
 
 
 def test_emit_graph_refuses_a_multiplicity_other_than_1_or_2(u):
@@ -273,9 +271,9 @@ def test_emit_graph_refuses_a_multiplicity_other_than_1_or_2(u):
     for m in (0, 3, -1, "2"):
         graph = MultiGraph(vertices=frozenset({a, b}), multiplicity={(a, b): m})
         with pytest.raises(ValidationError, match="not 1 or 2"):
-            emit_graph(u, graph, "multi")
+            emit_graph(u, graph)
     graph = MultiGraph(vertices=frozenset({a, b}), multiplicity={(a, a): 2, (a, b): 2})
-    assert emit_graph(u, graph, "multi") == "v 0 0 loop\nv 1 1\ne 0 1 2\n"
+    assert emit_graph(u, graph) == "v 0 0 loop\nv 1 1\ne 0 1 2\n"
 
 
 def test_emit_graph_peak_memory_per_edge(u):
@@ -287,7 +285,7 @@ def test_emit_graph_peak_memory_per_edge(u):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        text = emit_graph(u, graph, "multi")
+        text = emit_graph(u, graph)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -467,10 +465,10 @@ def test_emit_graph_reads_an_order_only_to_choose(u, monkeypatch, name):
     one_nw = solve(u, parse_system(u, "atom a = 1\nx = {x,a}\n"))["x"]
     one_wf = solve(u, parse_system(u, "atom a = 0\nx = {y,a}\ny = {x}\n"))["x"]
     graphs = [undirect(u, closure(u, [s]), "multi") for s in (one_nw, one_wf)]
-    before = [emit_graph(u, g, "multi") for g in graphs]
+    before = [emit_graph(u, g) for g in graphs]
     reverse_order(monkeypatch, name)
     changed = 1 if name == "structural_ranks" else 0
-    assert [emit_graph(u, g, "multi") == text for g, text in zip(graphs, before)] == [
+    assert [emit_graph(u, g) == text for g, text in zip(graphs, before)] == [
         i != changed for i in range(2)]
 
 

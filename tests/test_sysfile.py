@@ -152,6 +152,27 @@ def test_parse_pattern_matrix():
         parse_pattern("", fmt="matrix")
 
 
+@pytest.mark.parametrize("text", ["0\t1\n1\t0\n", "0 \t 1\n1  0\n", "01\n10\n"])
+def test_parse_pattern_matrix_rows_split_on_any_whitespace(text):
+    # entries split on any run of whitespace; a row with none is digits
+    assert parse_pattern(text, fmt="matrix") == parse_pattern("0 1\n1 0\n", fmt="matrix")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertices 3\nedge 0 1\nedge 1 2\nedge 2 7\n", "4:1: bad edge (2, 7)"),
+    ("vertices 2\nedge 0 1\nloop 4\n", "3:1: bad loop vertex 4"),
+    ("edge 0 1\nloop -1\n# size last\nedge 5 1\nvertices 2\n", "2:1: bad loop vertex -1"),
+    ("edge 3 2\nvertices 3\n", "1:1: bad edge (2, 3)"),
+    ("vertices 0\nedge 0 1\n", "1:1: pattern needs at least one vertex"),
+])
+def test_parse_pattern_range_errors_point_at_their_line(text, message):
+    # the first out-of-range edge or loop in text order, wherever the
+    # vertices line is
+    with pytest.raises(ParseError) as err:
+        parse_pattern(text)
+    assert str(err.value) == message
+
+
 # Pieces of system files, and characters that are not whitespace there:
 # form feed, vertical tab, no-break space and non-ASCII letters.
 PIECES = ["atom", "x", "y", "a", "ν0", "_b", "0", "1", "7", "{", "}", ",", "=",

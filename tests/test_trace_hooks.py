@@ -58,3 +58,22 @@ def test_wrapped_cli_calls_keep_their_output(capsys):
     calls = rec.totals()[2]
     assert calls["witnesses.component"] == 4
     assert calls["reducts.double_component"] == 4
+
+
+def test_wrapped_emit_graph_keeps_its_output(capsys):
+    # the recorder wraps serialize.emit_graph for the CLI: one span per
+    # printed graph, and the wrapped call prints what the golden files hold
+    hs = SimpleNamespace(**{m: importlib.import_module(f"hyperset.{m}") for m in MODULES})
+    cases = {f"cycle40.{mode}": ["undirect", str(GOLDEN / "cycle40.hs"), "--mode", mode]
+             for mode in ("loopy", "multi", "double")}
+    cases["star5.seed30"] = ["star", "5", "--seed", "30"]
+    rec = load_spans().Recorder()
+    rec.install(hs)
+    try:
+        for name, argv in cases.items():
+            assert hs.cli.main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
+    finally:
+        rec.uninstall()
+    assert rec.totals()[2]["serialize.emit_graph"] == 4

@@ -6,7 +6,7 @@ from hyperset import cli, reducts, witnesses
 from hyperset.errors import ContractViolation, PreconditionError, UnknownHandle
 from hyperset.flat import FlatSystem, solve
 from hyperset.reducts import (
-    LoopyGraph,
+    MultiGraph,
     closure,
     double_component,
     double_degree,
@@ -192,9 +192,9 @@ def test_component_four_cycle_with_loop(u):
     assert len(set(ys)) == 4
     # the built double-edge component is isomorphic to the pattern
     built = undirect(u, ys, "double_only")
-    induced = LoopyGraph(vertices=frozenset(ys),
-                         edges=frozenset(e for e in built.edges
-                                         if e[0] in ys and e[1] in ys))
+    induced = MultiGraph(vertices=frozenset(ys),
+                         multiplicity={e: m for e, m in built.multiplicity.items()
+                                       if e[0] in ys and e[1] in ys})
     assert graph == induced == double_component_graph(u, ys)
     iso = loopy_iso(induced, pattern_loopy_graph(pat))
     assert iso is not None
@@ -223,9 +223,9 @@ def test_component_two_seeds_disjoint(u):
     second, _ = component(u, tri, atom_seed=50)
     assert set(first).isdisjoint(second)
     built = undirect(u, first, "double_only")
-    g1 = LoopyGraph(vertices=frozenset(first),
-                    edges=frozenset(e for e in built.edges
-                                    if e[0] in first and e[1] in first))
+    g1 = MultiGraph(vertices=frozenset(first),
+                    multiplicity={e: m for e, m in built.multiplicity.items()
+                                  if e[0] in first and e[1] in first})
     assert loopy_iso(g1, pattern_loopy_graph(tri)) is not None
 
 
@@ -308,8 +308,8 @@ def test_constructions_reject_negative_atom_seed(u):
 
 
 def lg(vertices, edges):
-    return LoopyGraph(vertices=frozenset(vertices),
-                      edges=frozenset(tuple(sorted(e)) for e in edges))
+    return MultiGraph(vertices=frozenset(vertices),
+                      multiplicity={tuple(sorted(e)): 1 for e in edges})
 
 
 def test_iso_single_looped_vertices():
