@@ -104,6 +104,11 @@ def cmd_witness(args) -> int:
     u = _universe()
     us = _parse_sets(u, "--u", args.u)
     vs = _parse_sets(u, "--v", args.v)
+    shared = set(us).intersection(vs)
+    if shared:  # named by position: a handle depends on what the store built first
+        i = next(i for i, x in enumerate(us) if x in shared)
+        j = vs.index(us[i])
+        raise HypersetError(f"--u item {i + 1} and --v item {j + 1} are the same set")
     if args.loopy:
         report = verify_loopy_witness(u, us, vs)
         order = ["z1", "z2", "x"]

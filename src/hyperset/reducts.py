@@ -72,8 +72,9 @@ class MultiGraph:
 
 
 def closure(u: Universe, seeds: Iterable[SetId]) -> frozenset[SetId]:
-    """Smallest element-closed vertex set containing the seeds."""
-    return _walk(seeds, u.elements)  # elements() checks each seed
+    """Smallest element-closed vertex set containing the seeds; the
+    numerals in it are the chain below the largest, so none is read."""
+    return _walk_to_numerals(u, seeds, u.elements)[0]
 
 
 def undirect(u: Universe, sets: Iterable[SetId], mode: str) -> MultiGraph:

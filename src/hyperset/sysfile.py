@@ -259,7 +259,7 @@ def _parse_pattern_edges(text: str) -> PatternGraph:
         if parts[0] == "vertices" and len(parts) == 2 and parts[1].isdigit():
             if size is not None:
                 raise ParseError("duplicate vertices line", lineno, 1)
-            size = int(parts[1])
+            size, size_line = int(parts[1]), lineno
         elif parts[0] == "edge" and len(parts) == 3:
             try:
                 i, j = int(parts[1]), int(parts[2])
@@ -281,18 +281,18 @@ def _parse_pattern_edges(text: str) -> PatternGraph:
             raise ParseError(f"unrecognized pattern line {line!r}", lineno, 1)
     if size is None:
         raise ParseError("missing `vertices N` line", 1, 1)
+    if size < 1:
+        raise ParseError("pattern needs at least one vertex", size_line, 1)
     for lineno, i, j in ends:  # an edge's ends differ, a loop's are equal
-        if size and (i < 0 or j >= size):  # no vertex at all is PatternGraph's error
+        if i < 0 or j >= size:
             raise ParseError(f"bad loop vertex {i}" if i == j else f"bad edge ({i}, {j})",
                              lineno, 1)
-    try:
-        return PatternGraph(size=size, edges=frozenset(edges), loops=frozenset(loops))
-    except Exception as exc:
-        raise ParseError(str(exc), 1, 1)
+    return PatternGraph(size=size, edges=frozenset(edges), loops=frozenset(loops))
 
 
 def _parse_pattern_matrix(text: str) -> PatternGraph:
     rows = []
+    lines = []  # the line of each row
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
@@ -303,11 +303,13 @@ def _parse_pattern_matrix(text: str) -> PatternGraph:
         if not all(e in ("0", "1") for e in entries):
             raise ParseError(f"matrix rows are 0/1, got {line!r}", lineno, 1)
         rows.append([int(e) for e in entries])
+        lines.append(lineno)
     if not rows:
         raise ParseError("empty matrix", 1, 1)
-    if any(len(r) != len(rows) for r in rows):
-        raise ParseError("matrix must be square", 1, 1)
-    try:
-        return PatternGraph.from_matrix(rows)
-    except Exception as exc:
-        raise ParseError(str(exc), 1, 1)
+    for j, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ParseError("matrix must be square", lines[j], 1)
+    for j, row in enumerate(rows):  # two rows that disagree: at the later one
+        if any(rows[i][j] != row[i] for i in range(j)):
+            raise ParseError("adjacency matrix must be symmetric", lines[j], 1)
+    return PatternGraph.from_matrix(rows)

@@ -11,13 +11,13 @@ Insertion is merge-and-collapse.  The strongly connected pieces of a
 new picture are resolved against the store bottom-up.  An acyclic node,
 whose children are all resolved by then, goes through an interning
 table keyed on element lists.  A cyclic piece is refined once, jointly
-with the non-well-founded region of the store that could match it, by
-the counting kernel :func:`refine_ranks` that also orders serialization;
-that one refinement also collapses the piece internally.  Structural
-colors exist only to find that region: a piece looks up stored sets by color,
-so while the store holds no non-well-founded set a piece is neither
-colored nor looked up, and the sets minted for it are colored at the
-first later lookup.  The net effect is the coarsest stable partition of
+with the whole stored cycles that could match it, by the counting
+kernel :func:`refine_ranks` that also orders serialization; every other
+set is a constant keyed by its handle, and the refinement also
+collapses the piece internally.  Structural colors only find those
+cycles: a piece is colored from itself and the handles it names, and
+the store keeps just a table from color to handles, filled from the
+first lookup on.  The net effect is the coarsest stable partition of
 the combined store-plus-picture graph, without touching the parts of
 the store that cannot possibly be involved.
 
@@ -28,9 +28,7 @@ construction is quiescent.  Handles are plain ints and freely copyable.
 
 from __future__ import annotations
 
-import sys
-from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
@@ -43,15 +41,14 @@ SetId = int
 # store nodes.  Only lookup performance depends on this; matching is
 # always confirmed by exact refinement.
 COLOR_ROUNDS = 10
-_UNCOLORED = array("q", [0]) * (COLOR_ROUNDS + 1)
 
 
 def _walk(starts: Iterable, step: Callable[..., Iterable]) -> frozenset:
     """Everything reachable from ``starts`` by ``step``; starts go first.
 
-    The one reachability walk of the package: closures, region
-    closures and connectivity checks all take it.  ``step`` is called
-    once on each vertex, a repeated start included.
+    The one reachability walk of the package: closures and connectivity
+    checks take it.  ``step`` is called once on each vertex, a repeated
+    start included.
     """
     queue = deque(dict.fromkeys(starts))
     seen = set(queue)
@@ -442,12 +439,12 @@ class Universe:
     def __init__(self, max_sets: int | None = None):
         self._elems: list[tuple[SetId, ...]] = []
         self._wf: list[bool] = []
-        # The COLOR_ROUNDS + 1 colors of set s, round 0 first, are the
-        # slice s * (COLOR_ROUNDS + 1) onward; an uncolored set holds zeros.
-        self._colors = array("q")
         self._intern: dict[tuple[SetId, ...], SetId] = {}
+        # final color -> the stored cyclic sets of that color
         self._bucket: dict[int, list[SetId]] = {}
-        self._uncolored: list[SetId] = []
+        # one range of consecutive handles per stored cyclic batch, each
+        # a strongly connected piece of the store, in handle order
+        self._cycles: list[range] = []
         self._vn: tuple[SetId, ...] = ()
         self._max_sets = max_sets
 
@@ -489,9 +486,8 @@ class Universe:
         """Append a set whose elements all exist already.
 
         Such a set can never lie on a membership cycle (its descendants
-        all predate it), so no cyclic cluster can ever match it and it
-        needs no structural color: a fixed per-id leaf color suffices
-        for the recurrences that read it.
+        all predate it), so no cyclic cluster can ever match it, and a
+        lookup reads it only as a fixed label: its handle.
 
         Every well-founded set is stored here, so the numeral cache grows
         here: while the tuple ``_vn`` lists vn(0..k), it is the element
@@ -502,8 +498,6 @@ class Universe:
         sid = len(self._elems)
         self._elems.append(elems)
         self._wf.append(wf)
-        # every color is sid: its native 8 bytes, once per round
-        self._colors.frombytes(sid.to_bytes(8, sys.byteorder) * (COLOR_ROUNDS + 1))
         n = len(self._intern)  # the key is new if the dict grows: one hash, not two
         self._intern[elems] = sid
         assert len(self._intern) > n
@@ -512,61 +506,45 @@ class Universe:
             self._vn = vn + (sid,)
         return sid
 
-    def _append_cyclic_batch(self, records, colors_list) -> None:
+    def _append_cyclic_batch(self, records, colors) -> None:
         """Append mutually referring non-well-founded records.
 
         Element tuples may mention ids inside the batch itself; record i
-        becomes handle ``len(self) + i``.  Colors exist only to find
-        lookup candidates, so a record's colors are None when its piece
-        was never looked up: it then waits uncolored, and the first later
-        lookup colors it from the stored graph.
+        becomes handle ``len(self) + i``.  The records are the sets of one
+        cyclic piece, so their handles, one range in ``_cycles``, are a
+        strongly connected piece of the store.  ``colors`` is None only
+        for the first stored cycle, which the first lookup colors.
         """
         base = len(self._elems)
         if self._max_sets is not None and base + len(records) > self._max_sets:
             raise UniverseFull(f"universe cap of {self._max_sets} sets reached")
-        for sid, (key, colors) in enumerate(zip(records, colors_list), start=base):
+        for sid, key in enumerate(records, start=base):
             self._elems.append(key)
             self._wf.append(False)
-            self._colors.extend(colors or _UNCOLORED)
             n = len(self._intern)
             self._intern[key] = sid
             assert len(self._intern) > n
-            if colors is None:
-                self._uncolored.append(sid)
-            else:
-                self._bucket.setdefault(colors[-1], []).append(sid)
+        cycle = range(base, len(self._elems))
+        self._cycles.append(cycle)
+        for sid, color in zip(cycle, colors or ()):
+            self._bucket.setdefault(color, []).append(sid)
 
     def _color_rounds(self, nodes, internal, external) -> dict:
         """``COLOR_ROUNDS`` rounds of iterated neighborhood hashing.
 
-        ``internal[n]`` lists the children of ``n`` among ``nodes``,
-        ``external[n]`` its children among the colored stored sets.
-        Returns node -> list of its colors, round 0 first.  The colors
-        are bisimulation-invariant, so a cyclic piece and the stored sets
-        minted for it get the same ones.
+        ``internal[n]`` lists the children of ``n`` among ``nodes``, one
+        cyclic piece, and ``external[n]`` the sorted handles of its other
+        children, which act as fixed labels.  Returns node -> its final
+        color.  The colors are bisimulation-invariant, so the sets minted
+        for a piece, or a stored cycle it equals but names no handle of,
+        get the colors of its nodes.
         """
-        colors = self._colors
-        w = COLOR_ROUNDS + 1
-        col: dict = {n: [0] for n in nodes}
-        for k in range(1, w):
-            for n in nodes:
-                sig = {colors[e * w + k - 1] for e in external[n]}
-                sig.update(col[c][k - 1] for c in internal[n])
-                col[n].append(hash((col[n][k - 1], tuple(sorted(sig)))))
+        labels = {n: hash(tuple(external[n])) for n in nodes}
+        col = dict.fromkeys(nodes, 0)
+        for _ in range(COLOR_ROUNDS):
+            col = {n: hash((col[n], tuple(sorted({col[c] for c in internal[n]})), labels[n]))
+                   for n in nodes}
         return col
-
-    def _color_uncolored(self) -> None:
-        """Color the stored sets minted before any lookup, and file them
-        in ``_bucket``."""
-        batch, self._uncolored = self._uncolored, []
-        inside = set(batch)
-        internal = {s: [e for e in self._elems[s] if e in inside] for s in batch}
-        external = {s: [e for e in self._elems[s] if e not in inside] for s in batch}
-        col = self._color_rounds(batch, internal, external)
-        w = COLOR_ROUNDS + 1
-        for s in batch:
-            self._colors[s * w:(s + 1) * w] = array("q", col[s])
-            self._bucket.setdefault(col[s][-1], []).append(s)
 
     def _intern_or_append(self, key: tuple[SetId, ...]) -> SetId:
         """Handle of the stored set with element tuple ``key``, appending
@@ -677,20 +655,20 @@ class Universe:
     def _resolve_cluster(self, comp, kids, refs, resolved):
         """Match one cyclic piece against the store, or mint fresh sets.
 
-        Every node of the piece lies on a membership cycle, so it can
-        only equal a non-well-founded stored set.  Candidate stored sets
-        are looked up by structural color, closed downward through their
-        non-well-founded descendants, and refined jointly with the piece
-        by :func:`refine_ranks`, keyed by everything else as constants.
-        That one refinement also collapses the piece internally: its
-        bisimilar nodes share a block and become one set.
+        A piece node can only equal a set of a stored cycle, and then
+        every node of the piece equals a set of that cycle.  The region
+        is the whole stored cycles that hold a candidate: a set in a
+        piece node's color bucket, or a non-well-founded handle the
+        piece names.  It is refined jointly with the piece by
+        :func:`refine_ranks`, every other child a constant keyed by its
+        handle; that also puts the piece's bisimilar nodes in one block.
 
-        Colors only find candidates.  While the store holds no
-        non-well-founded set there are none, so the piece is refined
-        alone and its fresh sets are stored uncolored.  Otherwise the
-        sets still uncolored are colored first, and a fresh set takes the
-        colors of its block's smallest node, which equal those of every
-        node in the block.
+        The lookup is exact: if node m equals stored t of cycle S, either
+        the piece names a handle in S, a candidate, or the piece and S
+        get the same colors, so t is in m's bucket.  While the store
+        holds no cycle the piece is refined alone and its fresh sets are
+        stored uncolored, until the first lookup colors them; a fresh set
+        takes the color of its block's smallest node.
         """
         in_comp = set(comp)
         external = {}
@@ -700,18 +678,30 @@ class Universe:
                                  {resolved[c] for c in kids[n] if c not in in_comp})
             internal[n] = [c for c in kids[n] if c in in_comp]
 
-        lookup = bool(self._bucket or self._uncolored)
-        candidates = set()
-        if lookup:
-            if self._uncolored:
-                self._color_uncolored()
+        elems = self._elems
+        cycles = self._cycles
+        region = set()
+        if cycles:
+            if not self._bucket:  # the first cycle, minted before any lookup
+                first = cycles[0]
+                col = self._color_rounds(
+                    first, {s: [e for e in elems[s] if e in first] for s in first},
+                    {s: [e for e in elems[s] if e not in first] for s in first})
+                for s in first:
+                    self._bucket.setdefault(col[s], []).append(s)
             col = self._color_rounds(comp, internal, external)
+            candidates = set()
             for n in comp:
-                candidates.update(self._bucket.get(col[n][COLOR_ROUNDS], ()))
-        region = _walk(candidates, lambda s: [e for e in self._elems[s] if not self._wf[e]])
+                candidates.update(self._bucket.get(col[n], ()))
+                candidates.update(e for e in external[n] if not self._wf[e])
+            for s in candidates:
+                if s not in region:
+                    cycle = cycles[bisect_right(cycles, s, key=lambda r: r.start) - 1]
+                    if s in cycle:
+                        region.update(cycle)
 
         # Piece node i is node base + i, a region set is its own handle.
-        base = len(self._elems)
+        base = len(elems)
         ids = {n: base + i for i, n in enumerate(comp)}
         kids2 = {}
         consts = {}
@@ -720,8 +710,8 @@ class Universe:
                              [r for r in external[n] if r in region])
             consts[ids[n]] = tuple(r for r in external[n] if r not in region)
         for s in region:
-            kids2[s] = [t for t in self._elems[s] if not self._wf[t]]
-            consts[s] = tuple(t for t in self._elems[s] if self._wf[t])
+            kids2[s] = [t for t in elems[s] if t in region]
+            consts[s] = tuple(t for t in elems[s] if t not in region)
 
         rank = refine_ranks(kids2.keys(), kids2, consts)
 
@@ -737,7 +727,7 @@ class Universe:
                 fresh.append(n)
             resolved[n] = value[b]
 
-        records = [tuple(sorted({*external[n], *(resolved[c] for c in internal[n])}))
-                   for n in fresh]
-        self._append_cyclic_batch(
-            records, [col[n] if lookup else None for n in fresh])
+        if fresh:
+            records = [tuple(sorted({*external[n], *(resolved[c] for c in internal[n])}))
+                       for n in fresh]
+            self._append_cyclic_batch(records, [col[n] for n in fresh] if cycles else None)

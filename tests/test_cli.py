@@ -160,6 +160,20 @@ def test_witness_overlap_is_error(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("mode, u_text, v_text, items", [
+    ("--loopy", "{1}", "2,{1}", (1, 2)),
+    ("--simple", "2", "{0,1}", (1, 1)),  # one set written two ways
+    ("--loopy", "0,{0,1}", "3,{1,0},2", (2, 2)),
+    ("--simple", "5,{{0}},1", "{{0}},4,1", (2, 1)),
+])
+def test_witness_overlap_names_list_items_not_handles(capsys, mode, u_text, v_text, items):
+    # the first --u item that is also in --v, and the first such --v item:
+    # handles depend on what the store built first
+    code, out, err = run(capsys, "witness", mode, "--u", u_text, "--v", v_text)
+    i, j = items
+    assert (code, out, err) == (1, "", f"error: --u item {i} and --v item {j} are the same set\n")
+
+
 @pytest.mark.parametrize("option, text, error", [
     ("--u", "0,{2,$}", "1:6: unexpected character '$'"),
     ("--u", "1,,2", "1:3: expected a set literal, found ','"),

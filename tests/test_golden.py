@@ -38,14 +38,15 @@ still count once, and its double edge keep multiplicity 2.
 Each case also runs on stores that already hold other sets, so that
 handles differ from a fresh store's: the output must not change.
 
-The ``err-*`` cases are system files that do not parse.  ``solve`` on
-each must exit 1, print nothing to stdout and print exactly the
-committed ``.err`` text to stderr, so a parse error keeps its message,
-line and column.  They cover a trailing comment with no final newline
-(the error is at the column of ``#``), a form feed and a non-ASCII
-letter (neither is whitespace or part of a name; columns count
-characters, and a tab is one column), an undeclared name and a
-duplicate equation.
+The ``err-*`` cases are inputs that do not parse.  The CLI on each
+must exit 1, print nothing to stdout and print exactly the committed
+``.err`` text to stderr, so a parse error keeps its message, line and
+column.  ``solve`` reads system files with a trailing comment and no
+final newline (the error is at the column of ``#``), a form feed and a
+non-ASCII letter (neither is whitespace or part of a name; columns
+count characters, and a tab is one column), an undeclared name and a
+duplicate equation.  ``component`` reads a 0/1 matrix whose rows 2
+and 3 disagree, an error reported at the later row, line 3.
 """
 
 import random
@@ -88,6 +89,8 @@ CASES = {
 ERROR_CASES = {name: ["solve", f"{{dir}}/{name}.hs"] for name in (
     "err-trailing-comment", "err-form-feed", "err-non-ascii", "err-undeclared",
     "err-duplicate")}
+ERROR_CASES["err-matrix-asymmetric"] = [
+    "component", "{dir}/err-matrix-asymmetric.txt", "--pattern-format", "matrix"]
 
 
 def check_case(name, capsys):

@@ -11,7 +11,9 @@ formats and back.  Checked throughout:
 * ``numerals()`` is exactly the stored numerals in order, an immutable
   snapshot, and ``numeral_of`` agrees with a frozenset decode;
 * queries, serialization and round trips never grow the store, and
-  round trips and re-pictures give back the same handle.
+  round trips and re-pictures give back the same handle;
+* the store's list of cycles is exactly its strongly connected pieces
+  that lie on a membership cycle.
 """
 
 import random
@@ -30,7 +32,7 @@ from hyperset.flat import solve
 from hyperset.reducts import closure
 from hyperset.serialize import normal_form, serialize_set
 from hyperset.sysfile import parse_set_literal, parse_system
-from hyperset.universe import Universe
+from hyperset.universe import Universe, _sccs
 
 from oracles import bisimilar_variant, distinct_pairs_bisimilar, naive_numerals, random_apg
 
@@ -163,6 +165,16 @@ class StoreMachine(RuleBasedStateMachine):
         earlier, copy = self.snapshot
         assert list(earlier) == copy, "an earlier numerals() snapshot changed"
         self.snapshot = numerals, list(numerals)
+
+    @invariant()
+    def cycles_are_the_cyclic_pieces(self):
+        """``_cycles`` is exactly the strongly connected pieces of the
+        store that lie on a membership cycle, in handle order."""
+        u = self.u
+        kids = {s: u.elements(s) for s in u.ids()}
+        pieces = [sorted(c) for c in _sccs(kids, kids)
+                  if len(c) > 1 or c[0] in kids[c[0]]]
+        assert sorted(pieces) == [list(c) for c in u._cycles]
 
 
 TestStoreModel = StoreMachine.TestCase

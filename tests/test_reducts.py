@@ -53,17 +53,30 @@ def test_walk_steps_each_vertex_once(u, monkeypatch):
 
     assert _walk([1, 1, 2], step) == {1, 2, 3}
     assert sorted(seen) == [1, 2, 3]
-    # a repeated root is read once: vn(3) and its three elements
-    three = u.vn(3)
+    # a repeated root is read once: {{vn(1)}} and {vn(1)}, while the
+    # numerals below them are not read at all
+    x = u.make_set([u.vn(1)])
+    y = u.make_set([x])
     calls = []
     elements = Universe.elements
     monkeypatch.setattr(Universe, "elements", lambda self, x: calls.append(x) or elements(self, x))
-    assert closure(u, [three, three]) == {u.vn(k) for k in range(4)}
-    assert sorted(calls) == sorted(u.vn(k) for k in range(4))
+    assert closure(u, [y, y]) == {y, x, u.vn(1), u.vn(0)}
+    assert sorted(calls) == sorted([x, y])
     # a counting step sees every membership of a repeated root once
     x, y = membership_pair(u)
     g = undirect(u, [x, y, x], "multi")
     assert g == undirect(u, [x], "multi") == naive_undirect(u, closure(u, [x]), "multi")
+
+
+def test_closure_reads_no_numeral(u, monkeypatch):
+    # vn(k) holds exactly vn(0..k-1), so the numerals of a closure are a
+    # prefix of the chain and none of their memberships is read
+    top = u.vn(3000)
+    calls = []
+    elements = Universe.elements
+    monkeypatch.setattr(Universe, "elements", lambda self, x: calls.append(x) or elements(self, x))
+    assert closure(u, [top]) == frozenset(u.numerals()[:3001])
+    assert calls == []
 
 
 def test_loopy_reduct_of_vn1(u):

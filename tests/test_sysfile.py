@@ -3,11 +3,12 @@ import re
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from hyperset.errors import ParseError
+from hyperset.errors import ParseError, ValidationError
 from hyperset.flat import solve, validate
 from hyperset.sysfile import (_Tokens, parse_pattern, parse_set_literal, parse_set_literals,
                               parse_system)
 from hyperset.universe import Universe
+from hyperset.witnesses import PatternGraph
 
 from oracles import naive_parse_set_literal, naive_parse_system, naive_tokens
 
@@ -171,6 +172,31 @@ def test_parse_pattern_range_errors_point_at_their_line(text, message):
     with pytest.raises(ParseError) as err:
         parse_pattern(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, fmt, message", [
+    ("0 1 0\n1 0 1\n0 1\n", "matrix", "3:1: matrix must be square"),
+    ("# rows\n0 1\n\n1 0 1\n", "matrix", "4:1: matrix must be square"),
+    ("0 1 0\n1 0 1\n0 0 0\n", "matrix", "3:1: adjacency matrix must be symmetric"),
+    ("0 0 1\n0 0 1\n0 1 0\n", "matrix", "3:1: adjacency matrix must be symmetric"),
+    ("# a matrix\n\n", "matrix", "1:1: empty matrix"),
+    ("edge 0 1\n\nvertices 0\n", "edges", "3:1: pattern needs at least one vertex"),
+])
+def test_parse_pattern_shape_errors_point_at_their_line(text, fmt, message):
+    # a row of the wrong length, the later of two rows that disagree, and
+    # the vertices line; an empty matrix has no line to point at
+    with pytest.raises(ParseError) as err:
+        parse_pattern(text, fmt=fmt)
+    assert str(err.value) == message
+
+
+def test_pattern_graph_keeps_its_own_shape_checks():
+    with pytest.raises(ValidationError, match="square"):
+        PatternGraph.from_matrix([[0, 1], [1]])
+    with pytest.raises(ValidationError, match="symmetric"):
+        PatternGraph.from_matrix([[0, 1], [0, 0]])
+    with pytest.raises(ValidationError, match="at least one vertex"):
+        PatternGraph(size=0, edges=frozenset(), loops=frozenset())
 
 
 # Pieces of system files, and characters that are not whitespace there:

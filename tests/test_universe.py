@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperset import universe
 from hyperset.errors import MalformedGraph, UniverseFull, UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
 from hyperset.sysfile import parse_set_literal, parse_system
@@ -228,6 +229,43 @@ def test_store_ref_into_stored_two_cycle(u):
                                {0: frozenset({a}), 1: frozenset({b, x})})
     assert again == stored
     assert len(u) == size
+
+
+def test_store_ref_folds_into_a_cycle_its_colors_miss(u):
+    # x = {x, Ω} is Ω, though x and Ω get different colors: Ω is in the
+    # region as a handle the piece names, with a lookup before it
+    u.canonicalize_all({0: frozenset({1}), 1: frozenset({0})},
+                       {0: frozenset({u.vn(0)}), 1: frozenset({u.vn(1)})})
+    omega = u.canonicalize(OMEGA)
+    size = len(u)
+    assert u.canonicalize_all({0: frozenset({0})}, {0: frozenset({omega})}) == {0: omega}
+    assert len(u) == size
+
+
+def test_re_encoded_cycle_is_refined_with_whole_stored_cycles_only(monkeypatch):
+    # 200 five-node cycles, each holding the previous cycle and its own
+    # numeral: the top one, encoded again, is refined with its stored
+    # copy and the cycle it names, 15 nodes, not with all 1,000 stored
+    # cyclic sets below it
+    u = Universe()
+    ring = {i: frozenset({(i + 1) % 5}) for i in range(5)}
+    below = frozenset()
+    for k in range(200):
+        refs = {0: below | {u.vn(k)}}
+        top = u.canonicalize_all(ring, refs)
+        below = frozenset({top[0]})
+    size = len(u)
+    sizes = []
+    kernel = universe.refine_ranks
+
+    def counted(nodes, kids, key, chain=()):
+        sizes.append(len(nodes))
+        return kernel(nodes, kids, key, chain)
+
+    monkeypatch.setattr(universe, "refine_ranks", counted)
+    assert u.canonicalize_all(ring, refs) == top
+    assert len(u) == size
+    assert sizes and max(sizes) <= 15
 
 
 def unrolled_copy(system, offset):
