@@ -104,17 +104,15 @@ def cmd_witness(args) -> int:
     u = _universe()
     us = _parse_sets(u, "--u", args.u)
     vs = _parse_sets(u, "--v", args.v)
-    shared = set(us).intersection(vs)
-    if shared:  # named by position: a handle depends on what the store built first
-        i = next(i for i, x in enumerate(us) if x in shared)
-        j = vs.index(us[i])
-        raise HypersetError(f"--u item {i + 1} and --v item {j + 1} are the same set")
-    if args.loopy:
-        report = verify_loopy_witness(u, us, vs)
-        order = ["z1", "z2", "x"]
-    else:
-        report = verify_simple_witness(u, us, vs)
-        order = ["z"]
+    verify, order = ((verify_loopy_witness, ["z1", "z2", "x"]) if args.loopy
+                     else (verify_simple_witness, ["z"]))
+    try:
+        report = verify(u, us, vs)
+    except PreconditionError as exc:
+        if exc.at is None:
+            raise
+        i, j = exc.at  # positions: a handle depends on what the store built first
+        raise HypersetError(f"--u item {i + 1} and --v item {j + 1} are the same set") from None
     for name in order:
         text = serialize_set(u, report.witnesses[name])
         if not text.endswith("\n"):

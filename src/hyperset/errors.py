@@ -2,7 +2,11 @@
 
 
 class HypersetError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors of this package; ``at`` may locate the fault in the input."""
+
+    def __init__(self, message="", at=None):
+        super().__init__(message)
+        self.at = at
 
 
 class MalformedGraph(HypersetError):

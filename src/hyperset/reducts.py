@@ -72,8 +72,7 @@ class MultiGraph:
 
 
 def closure(u: Universe, seeds: Iterable[SetId]) -> frozenset[SetId]:
-    """Smallest element-closed vertex set containing the seeds; the
-    numerals in it are the chain below the largest, so none is read."""
+    """Smallest element-closed vertex set containing the seeds; no numeral is read."""
     return _walk_to_numerals(u, seeds, u.elements)[0]
 
 

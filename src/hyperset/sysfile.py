@@ -22,10 +22,10 @@ from __future__ import annotations
 import re
 from operator import itemgetter
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .flat import FlatSystem
 from .universe import SetId, Universe
-from .witnesses import PatternGraph
+from .witnesses import PatternGraph, end_problem
 
 # One pattern splits a text into tokens and comments; any other character
 # outside whitespace (space, tab, CR, LF) is a token of its own, and an error.
@@ -248,8 +248,6 @@ def _strip_comment(line: str) -> str:
 
 def _parse_pattern_edges(text: str) -> PatternGraph:
     size = None
-    edges = set()
-    loops = set()
     ends = []  # (line, smaller end, larger end) of each edge and loop line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
@@ -267,32 +265,30 @@ def _parse_pattern_edges(text: str) -> PatternGraph:
                 raise ParseError("edge endpoints must be naturals", lineno, 1)
             if i == j:
                 raise ParseError("use `loop` for self-edges", lineno, 1)
-            i, j = min(i, j), max(i, j)
-            edges.add((i, j))
-            ends.append((lineno, i, j))
+            ends.append((lineno, min(i, j), max(i, j)))
         elif parts[0] == "loop" and len(parts) == 2:
             try:
                 i = int(parts[1])
             except ValueError:
                 raise ParseError("loop vertex must be a natural", lineno, 1)
-            loops.add(i)
             ends.append((lineno, i, i))
         else:
             raise ParseError(f"unrecognized pattern line {line!r}", lineno, 1)
     if size is None:
         raise ParseError("missing `vertices N` line", 1, 1)
-    if size < 1:
-        raise ParseError("pattern needs at least one vertex", size_line, 1)
-    for lineno, i, j in ends:  # an edge's ends differ, a loop's are equal
-        if i < 0 or j >= size:
-            raise ParseError(f"bad loop vertex {i}" if i == j else f"bad edge ({i}, {j})",
-                             lineno, 1)
-    return PatternGraph(size=size, edges=frozenset(edges), loops=frozenset(loops))
+    for lineno, i, j in ends:  # the first bad one in text order; no vertex is worse
+        problem = size > 0 and end_problem(size, i, j, loop=i == j)
+        if problem:
+            raise ParseError(problem, lineno, 1)
+    try:
+        return PatternGraph(size=size, edges=frozenset((i, j) for _, i, j in ends if i != j),
+                            loops=frozenset(i for _, i, j in ends if i == j))
+    except ValidationError as exc:  # no vertex at all
+        raise ParseError(str(exc), size_line, 1) from None
 
 
 def _parse_pattern_matrix(text: str) -> PatternGraph:
-    rows = []
-    lines = []  # the line of each row
+    rows = {}  # line -> row
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
@@ -302,14 +298,10 @@ def _parse_pattern_matrix(text: str) -> PatternGraph:
             entries = list(line)
         if not all(e in ("0", "1") for e in entries):
             raise ParseError(f"matrix rows are 0/1, got {line!r}", lineno, 1)
-        rows.append([int(e) for e in entries])
-        lines.append(lineno)
+        rows[lineno] = [int(e) for e in entries]
     if not rows:
         raise ParseError("empty matrix", 1, 1)
-    for j, row in enumerate(rows):
-        if len(row) != len(rows):
-            raise ParseError("matrix must be square", lines[j], 1)
-    for j, row in enumerate(rows):  # two rows that disagree: at the later one
-        if any(rows[i][j] != row[i] for i in range(j)):
-            raise ParseError("adjacency matrix must be symmetric", lines[j], 1)
-    return PatternGraph.from_matrix(rows)
+    try:
+        return PatternGraph.from_matrix(list(rows.values()))
+    except ValidationError as exc:  # at the row it names
+        raise ParseError(str(exc), list(rows)[exc.at], 1) from None

@@ -16,10 +16,10 @@ kernel :func:`refine_ranks` that also orders serialization; every other
 set is a constant keyed by its handle, and the refinement also
 collapses the piece internally.  Structural colors only find those
 cycles: a piece is colored from itself and the handles it names, and
-the store keeps just a table from color to handles, filled from the
-first lookup on.  The net effect is the coarsest stable partition of
-the combined store-plus-picture graph, without touching the parts of
-the store that cannot possibly be involved.
+again with the stored cycle of the newest handle it names, and the
+store keeps just a table from color to cyclic sets.  The net effect is
+the coarsest stable partition of the combined store-plus-picture graph;
+of the rest of the store a lookup reads only what those colors reach.
 
 Concurrency contract: all mutation goes through a single writer; query
 methods are read-only and safe to call from many threads once
@@ -483,11 +483,11 @@ class Universe:
     # -- construction --------------------------------------------------
 
     def _append(self, elems: tuple[SetId, ...], wf: bool) -> SetId:
-        """Append a set whose elements all exist already.
-
-        Such a set can never lie on a membership cycle (its descendants
-        all predate it), so no cyclic cluster can ever match it, and a
-        lookup reads it only as a fixed label: its handle.
+        """Append a set.  Unless :meth:`_append_cyclic_batch` appends it,
+        its elements all exist already, so it can never lie on a
+        membership cycle (its descendants all predate it), no cyclic
+        cluster can ever match it, and a lookup reads it only as a fixed
+        label: its handle.
 
         Every well-founded set is stored here, so the numeral cache grows
         here: while the tuple ``_vn`` lists vn(0..k), it is the element
@@ -507,43 +507,54 @@ class Universe:
         return sid
 
     def _append_cyclic_batch(self, records, colors) -> None:
-        """Append mutually referring non-well-founded records.
-
-        Element tuples may mention ids inside the batch itself; record i
-        becomes handle ``len(self) + i``.  The records are the sets of one
-        cyclic piece, so their handles, one range in ``_cycles``, are a
-        strongly connected piece of the store.  ``colors`` is None only
-        for the first stored cycle, which the first lookup colors.
-        """
+        """Append the sets of one cyclic piece, a strongly connected piece
+        of the store whose other elements predate it: record i becomes
+        handle ``len(self) + i``, filed in ``_bucket`` under ``colors[i]``
+        (the first cycle's wait for a lookup), and the batch a range in
+        ``_cycles``."""
         base = len(self._elems)
         if self._max_sets is not None and base + len(records) > self._max_sets:
             raise UniverseFull(f"universe cap of {self._max_sets} sets reached")
-        for sid, key in enumerate(records, start=base):
-            self._elems.append(key)
-            self._wf.append(False)
-            n = len(self._intern)
-            self._intern[key] = sid
-            assert len(self._intern) > n
-        cycle = range(base, len(self._elems))
-        self._cycles.append(cycle)
-        for sid, color in zip(cycle, colors or ()):
+        for key in records:
+            self._append(key, False)
+        self._cycles.append(range(base, len(self._elems)))
+        for sid, color in zip(self._cycles[-1], colors):
             self._bucket.setdefault(color, []).append(sid)
 
-    def _color_rounds(self, nodes, internal, external) -> dict:
-        """``COLOR_ROUNDS`` rounds of iterated neighborhood hashing.
+    def _cycle_of(self, s: SetId) -> range | None:
+        """The stored cycle that holds ``s``, if any."""
+        i = bisect_right(self._cycles, s, key=lambda r: r.start) - 1
+        return self._cycles[i] if i >= 0 and s in self._cycles[i] else None
 
-        ``internal[n]`` lists the children of ``n`` among ``nodes``, one
-        cyclic piece, and ``external[n]`` the sorted handles of its other
-        children, which act as fixed labels.  Returns node -> its final
-        color.  The colors are bisimulation-invariant, so the sets minted
-        for a piece, or a stored cycle it equals but names no handle of,
-        get the colors of its nodes.
+    def _color_rounds(self, piece, internal, external, cycle=range(0)) -> dict:
+        """Piece node -> its color after ``COLOR_ROUNDS`` rounds of
+        iterated neighborhood hashing of ``piece``, one cyclic piece.
+
+        ``internal[p]`` lists the children of ``p`` in the piece, and
+        ``external[p]`` the sorted handles of its other children, fixed
+        labels but for those of the stored ``cycle``: these are nodes,
+        colored with the part of ``cycle`` that the rounds reach.  The
+        colors are bisimulation-invariant, so a stored cycle the piece
+        equals gets the colors of its nodes, if the piece names no handle
+        of it or it is ``cycle``.
         """
-        labels = {n: hash(tuple(external[n])) for n in nodes}
-        col = dict.fromkeys(nodes, 0)
-        for _ in range(COLOR_ROUNDS):
-            col = {n: hash((col[n], tuple(sorted({col[c] for c in internal[n]})), labels[n]))
-                   for n in nodes}
+        elems = self._elems
+        inner, labels = {}, {}
+        for p in piece:
+            inner[p] = internal[p] + [e for e in external[p] if e in cycle]
+            labels[p] = hash(tuple(e for e in external[p] if e not in cycle))
+        rings = [piece]  # rings[d + 1]: the handles of cycle d steps from those named
+        ring = {e for p in piece for e in external[p] if e in cycle}
+        while ring and len(rings) <= COLOR_ROUNDS:  # the last ring is read, never recolored
+            rings.append(ring)
+            for s in ring:
+                inner[s] = [e for e in elems[s] if e in cycle]
+                labels[s] = hash(tuple(e for e in elems[s] if e not in cycle))
+            ring = {e for s in ring for e in inner[s]} - inner.keys()
+        col = dict.fromkeys(inner, 0)
+        for left in range(COLOR_ROUNDS, 0, -1):  # the rings the piece's colors still see
+            col = {n: hash((col[n], frozenset([col[c] for c in inner[n]]), labels[n]))
+                   for ring in rings[:left] for n in ring}
         return col
 
     def _intern_or_append(self, key: tuple[SetId, ...]) -> SetId:
@@ -655,60 +666,47 @@ class Universe:
     def _resolve_cluster(self, comp, kids, refs, resolved):
         """Match one cyclic piece against the store, or mint fresh sets.
 
-        A piece node can only equal a set of a stored cycle, and then
-        every node of the piece equals a set of that cycle.  The region
-        is the whole stored cycles that hold a candidate: a set in a
-        piece node's color bucket, or a non-well-founded handle the
-        piece names.  It is refined jointly with the piece by
+        If a piece node equals a set of a stored cycle, every piece node
+        does.  The region, the whole stored cycles holding a piece node's
+        color bucket, is refined jointly with the piece by
         :func:`refine_ranks`, every other child a constant keyed by its
-        handle; that also puts the piece's bisimilar nodes in one block.
+        handle; that also collapses the piece.
 
-        The lookup is exact: if node m equals stored t of cycle S, either
-        the piece names a handle in S, a candidate, or the piece and S
-        get the same colors, so t is in m's bucket.  While the store
-        holds no cycle the piece is refined alone and its fresh sets are
-        stored uncolored, until the first lookup colors them; a fresh set
-        takes the color of its block's smallest node.
+        The lookup is exact.  Say node m equals stored t of cycle S.  If
+        the piece names no handle of S, t is in m's bucket.  Else every
+        handle it names is in S or predates S, as elements of S's sets
+        are: S holds the newest, and with S's handles as nodes m gets t's
+        color.  Fresh sets take their nodes' colors.
         """
-        in_comp = set(comp)
-        external = {}
-        internal = {}
-        for n in comp:
-            external[n] = sorted(set(refs[n]) |
-                                 {resolved[c] for c in kids[n] if c not in in_comp})
-            internal[n] = [c for c in kids[n] if c in in_comp]
-
         elems = self._elems
-        cycles = self._cycles
-        region = set()
-        if cycles:
-            if not self._bucket:  # the first cycle, minted before any lookup
-                first = cycles[0]
-                col = self._color_rounds(
-                    first, {s: [e for e in elems[s] if e in first] for s in first},
-                    {s: [e for e in elems[s] if e not in first] for s in first})
-                for s in first:
-                    self._bucket.setdefault(col[s], []).append(s)
-            col = self._color_rounds(comp, internal, external)
-            candidates = set()
-            for n in comp:
-                candidates.update(self._bucket.get(col[n], ()))
-                candidates.update(e for e in external[n] if not self._wf[e])
-            for s in candidates:
-                if s not in region:
-                    cycle = cycles[bisect_right(cycles, s, key=lambda r: r.start) - 1]
-                    if s in cycle:
-                        region.update(cycle)
-
-        # Piece node i is node base + i, a region set is its own handle.
         base = len(elems)
-        ids = {n: base + i for i, n in enumerate(comp)}
-        kids2 = {}
-        consts = {}
-        for n in comp:
-            kids2[ids[n]] = ([ids[c] for c in internal[n]] +
-                             [r for r in external[n] if r in region])
-            consts[ids[n]] = tuple(r for r in external[n] if r not in region)
+        piece = range(base, base + len(comp))  # node comp[i] is base + i
+        ids = dict(zip(comp, piece))
+        internal, external = {}, {}
+        for n, p in ids.items():
+            internal[p] = [ids[c] for c in kids[n] if c in ids]
+            external[p] = sorted({*refs[n], *(resolved[c] for c in kids[n] if c not in ids)})
+
+        col, region = {}, set()
+        if self._cycles:  # else nothing can match, and the fresh sets wait for a lookup
+            if not self._bucket:  # the first cycle, minted before any lookup
+                first = self._cycles[0]
+                inside = {s: [e for e in elems[s] if e in first] for s in first}
+                outside = {s: [e for e in elems[s] if e not in first] for s in first}
+                for s, c in self._color_rounds(first, inside, outside).items():
+                    self._bucket.setdefault(c, []).append(s)
+            col = self._color_rounds(piece, internal, external)
+            colorings = [col]  # and one with the only cycle it can equal while naming it
+            if named := self._cycle_of(max((e for p in piece for e in external[p]), default=-1)):
+                colorings.append(self._color_rounds(piece, internal, external, named))
+            for s in {s for c in colorings for p in piece for s in self._bucket.get(c[p], ())}:
+                if s not in region:
+                    region.update(self._cycle_of(s))
+
+        kids2, consts = {}, {}
+        for p in piece:
+            kids2[p] = internal[p] + [r for r in external[p] if r in region]
+            consts[p] = tuple(r for r in external[p] if r not in region)
         for s in region:
             kids2[s] = [t for t in elems[s] if t in region]
             consts[s] = tuple(t for t in elems[s] if t not in region)
@@ -720,14 +718,14 @@ class Universe:
         value = {rank[s]: s for s in region}
         assert len(value) == len(region), "store was not bisimulation-minimal"
         fresh = []
-        for n in comp:
-            b = rank[ids[n]]
+        for n, p in ids.items():
+            b = rank[p]
             if b not in value:
                 value[b] = base + len(fresh)
-                fresh.append(n)
+                fresh.append(p)
             resolved[n] = value[b]
 
         if fresh:
-            records = [tuple(sorted({*external[n], *(resolved[c] for c in internal[n])}))
-                       for n in fresh]
-            self._append_cyclic_batch(records, [col[n] for n in fresh] if cycles else None)
+            records = [tuple(sorted({*external[p], *(value[rank[c]] for c in internal[p])}))
+                       for p in fresh]
+            self._append_cyclic_batch(records, [col[p] for p in fresh] if col else ())

@@ -53,10 +53,15 @@ def _adjacent(u: Universe, a: SetId, b: SetId) -> bool:
     return u.is_member(a, b) or u.is_member(b, a)
 
 
-def _require_disjoint(us, vs):
+def _disjoint_sorted(us, vs) -> tuple[list, list]:
+    """``us``, ``vs`` sorted, deduplicated; an overlap raises ``at`` its first positions."""
+    us, vs = list(us), list(vs)
     overlap = set(us) & set(vs)
     if overlap:
-        raise PreconditionError(f"U and V overlap on {sorted(overlap)}")
+        i = next(i for i, s in enumerate(us) if s in overlap)
+        raise PreconditionError(f"U and V overlap on {sorted(overlap)}",
+                                at=(i, vs.index(us[i])))
+    return sorted(set(us)), sorted(set(vs))
 
 
 def arp_witness_simple(u: Universe, us, vs) -> SetId:
@@ -68,8 +73,7 @@ def arp_witness_simple(u: Universe, us, vs) -> SetId:
 
 
 def verify_simple_witness(u: Universe, us, vs) -> WitnessReport:
-    us, vs = sorted(set(us)), sorted(set(vs))
-    _require_disjoint(us, vs)
+    us, vs = _disjoint_sorted(us, vs)
     for s in us + vs:
         if not u.is_well_founded(s):
             raise PreconditionError(
@@ -106,8 +110,7 @@ def arp_witness_loopy(u: Universe, us, vs) -> tuple[SetId, SetId, SetId]:
 
 
 def verify_loopy_witness(u: Universe, us, vs) -> WitnessReport:
-    us, vs = sorted(set(us)), sorted(set(vs))
-    _require_disjoint(us, vs)
+    us, vs = _disjoint_sorted(us, vs)
     m = len(us)
 
     union_u = set()
@@ -175,6 +178,13 @@ def star(u: Universe, n: int, atom_seed: int = 0) -> tuple[SetId, list[SetId]]:
     return y, xs
 
 
+def end_problem(size: int, i: int, j: int, loop: bool = False) -> str | None:
+    """The fault of edge (i, j), i < j, or of loop i = j, on vertices 0..size-1, or None."""
+    if loop:
+        return None if 0 <= i < size else f"bad loop vertex {i}"
+    return None if 0 <= i < j < size else f"bad edge ({i}, {j})"
+
+
 @dataclass(frozen=True)
 class PatternGraph:
     """Finite loopy pattern on vertices 0..size-1, connected apart from
@@ -187,12 +197,10 @@ class PatternGraph:
     def __post_init__(self):
         if self.size < 1:
             raise ValidationError("pattern needs at least one vertex")
-        for i, j in self.edges:
-            if not (0 <= i < j < self.size):
-                raise ValidationError(f"bad edge ({i}, {j})")
-        for i in self.loops:
-            if not 0 <= i < self.size:
-                raise ValidationError(f"bad loop vertex {i}")
+        for problem in [*(end_problem(self.size, i, j) for i, j in self.edges),
+                        *(end_problem(self.size, i, i, loop=True) for i in self.loops)]:
+            if problem:
+                raise ValidationError(problem)
         neighbors = [[] for _ in range(self.size)]
         for i, j in sorted(self.edges):
             neighbors[i].append(j)
@@ -201,17 +209,20 @@ class PatternGraph:
 
     @classmethod
     def from_matrix(cls, matrix) -> "PatternGraph":
+        """The pattern of a 0/1 adjacency matrix; a shape error is ``at``
+        the first short or long row, or the later of two that disagree."""
         k = len(matrix)
-        if any(len(row) != k for row in matrix):
-            raise ValidationError("adjacency matrix must be square")
+        for j, row in enumerate(matrix):
+            if len(row) != k:
+                raise ValidationError("adjacency matrix must be square", at=j)
         edges = set()
         loops = set()
-        for i in range(k):
-            if matrix[i][i]:
-                loops.add(i)
-            for j in range(i + 1, k):
+        for j in range(k):
+            if matrix[j][j]:
+                loops.add(j)
+            for i in range(j):
                 if bool(matrix[i][j]) != bool(matrix[j][i]):
-                    raise ValidationError("adjacency matrix must be symmetric")
+                    raise ValidationError("adjacency matrix must be symmetric", at=j)
                 if matrix[i][j]:
                     edges.add((i, j))
         return cls(size=k, edges=frozenset(edges), loops=frozenset(loops))

@@ -175,8 +175,8 @@ def test_parse_pattern_range_errors_point_at_their_line(text, message):
 
 
 @pytest.mark.parametrize("text, fmt, message", [
-    ("0 1 0\n1 0 1\n0 1\n", "matrix", "3:1: matrix must be square"),
-    ("# rows\n0 1\n\n1 0 1\n", "matrix", "4:1: matrix must be square"),
+    ("0 1 0\n1 0 1\n0 1\n", "matrix", "3:1: adjacency matrix must be square"),
+    ("# rows\n0 1\n\n1 0 1\n", "matrix", "4:1: adjacency matrix must be square"),
     ("0 1 0\n1 0 1\n0 0 0\n", "matrix", "3:1: adjacency matrix must be symmetric"),
     ("0 0 1\n0 0 1\n0 1 0\n", "matrix", "3:1: adjacency matrix must be symmetric"),
     ("# a matrix\n\n", "matrix", "1:1: empty matrix"),
@@ -191,12 +191,20 @@ def test_parse_pattern_shape_errors_point_at_their_line(text, fmt, message):
 
 
 def test_pattern_graph_keeps_its_own_shape_checks():
-    with pytest.raises(ValidationError, match="square"):
-        PatternGraph.from_matrix([[0, 1], [1]])
-    with pytest.raises(ValidationError, match="symmetric"):
-        PatternGraph.from_matrix([[0, 1], [0, 0]])
+    # a matrix error's ``at`` is the row it is found at: rows 1 and 2
+    # disagree before rows 0 and 3 do
+    with pytest.raises(ValidationError, match="square") as err:
+        PatternGraph.from_matrix([[0, 1, 0], [1, 0, 1], [0, 1]])
+    assert err.value.at == 2
+    with pytest.raises(ValidationError, match="symmetric") as err:
+        PatternGraph.from_matrix([[0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert err.value.at == 2
     with pytest.raises(ValidationError, match="at least one vertex"):
         PatternGraph(size=0, edges=frozenset(), loops=frozenset())
+    with pytest.raises(ValidationError, match=r"bad edge \(1, 1\)"):
+        PatternGraph(size=2, edges=frozenset({(1, 1)}), loops=frozenset())
+    with pytest.raises(ValidationError, match="bad loop vertex 2"):
+        PatternGraph(size=2, edges=frozenset(), loops=frozenset({2}))
 
 
 # Pieces of system files, and characters that are not whitespace there:

@@ -232,8 +232,8 @@ def test_store_ref_into_stored_two_cycle(u):
 
 
 def test_store_ref_folds_into_a_cycle_its_colors_miss(u):
-    # x = {x, Ω} is Ω, though x and Ω get different colors: Ω is in the
-    # region as a handle the piece names, with a lookup before it
+    # x = {x, Ω} is Ω, though x and Ω get different colors: x colored
+    # with the Ω it names as a node gets Ω's, with a lookup before it
     u.canonicalize_all({0: frozenset({1}), 1: frozenset({0})},
                        {0: frozenset({u.vn(0)}), 1: frozenset({u.vn(1)})})
     omega = u.canonicalize(OMEGA)
@@ -245,8 +245,8 @@ def test_store_ref_folds_into_a_cycle_its_colors_miss(u):
 def test_re_encoded_cycle_is_refined_with_whole_stored_cycles_only(monkeypatch):
     # 200 five-node cycles, each holding the previous cycle and its own
     # numeral: the top one, encoded again, is refined with its stored
-    # copy and the cycle it names, 15 nodes, not with all 1,000 stored
-    # cyclic sets below it
+    # copy alone, 10 nodes, not with the cycle it names or with all
+    # 1,000 stored cyclic sets below it
     u = Universe()
     ring = {i: frozenset({(i + 1) % 5}) for i in range(5)}
     below = frozenset()
@@ -255,6 +255,14 @@ def test_re_encoded_cycle_is_refined_with_whole_stored_cycles_only(monkeypatch):
         top = u.canonicalize_all(ring, refs)
         below = frozenset({top[0]})
     size = len(u)
+    sizes = counted_refinements(monkeypatch)
+    assert u.canonicalize_all(ring, refs) == top
+    assert len(u) == size
+    assert sizes == [10]
+
+
+def counted_refinements(monkeypatch) -> list:
+    """The node count of every ``refine_ranks`` call from now on."""
     sizes = []
     kernel = universe.refine_ranks
 
@@ -263,9 +271,73 @@ def test_re_encoded_cycle_is_refined_with_whole_stored_cycles_only(monkeypatch):
         return kernel(nodes, kids, key, chain)
 
     monkeypatch.setattr(universe, "refine_ranks", counted)
-    assert u.canonicalize_all(ring, refs) == top
+    return sizes
+
+
+def test_pieces_naming_a_long_stored_cycle_refine_only_themselves(monkeypatch):
+    # c_j = {c_j+1, vn(j)} on 300 nodes, then x_i = {x_i, c_0, vn(i)}:
+    # no x_i is a set of the cycle, so none is refined with it
+    u = Universe()
+    n = 300
+    ring = {j: frozenset({(j + 1) % n}) for j in range(n)}
+    cycle = u.canonicalize_all(ring, {j: frozenset({u.vn(j)}) for j in range(n)})
+    sizes = counted_refinements(monkeypatch)
+    for i in range(50):
+        x = u.canonicalize_all({0: frozenset({0})},
+                               {0: frozenset({cycle[0], u.vn(i)})})[0]
+        assert x == len(u) - 1
+    assert sizes == [1] * 50
+
+
+@pytest.mark.parametrize("named", [[0], [7], [39], [3, 25], list(range(40))])
+def test_re_encoding_that_names_its_own_cycle_folds_into_it(named):
+    # c_j = {c_j+1, vn(j)} on 40 nodes, more than COLOR_ROUNDS, encoded
+    # again with y_j also naming c_j+1 for j in ``named``: a handle far
+    # along the cycle still finds it, and y_j naming c_j+2 instead does not
+    u = Universe()
+    n = 40
+    ring = {j: frozenset({(j + 1) % n}) for j in range(n)}
+    atoms = {j: {u.vn(j)} for j in range(n)}
+    cycle = u.canonicalize_all(ring, {j: frozenset(atoms[j]) for j in range(n)})
+    size = len(u)
+    refs = {j: frozenset(atoms[j] | ({cycle[(j + 1) % n]} if j in named else set()))
+            for j in range(n)}
+    assert u.canonicalize_all(ring, refs) == cycle
     assert len(u) == size
-    assert sizes and max(sizes) <= 15
+    refs = {j: frozenset(atoms[j] | ({cycle[(j + 2) % n]} if j in named else set()))
+            for j in range(n)}
+    again = u.canonicalize_all(ring, refs)
+    assert set(again.values()).isdisjoint(cycle.values())
+    assert distinct_pairs_bisimilar(u) == []
+
+
+def test_small_piece_naming_a_long_path_of_its_cycle_folds_into_it(u):
+    # t = {t, p0, vn(0)} and the path p0 -> ... -> p14 -> t are one stored
+    # cycle; y = {y, p0, vn(0)} is t, found only with p0's colors, which
+    # read COLOR_ROUNDS - 1 steps down the path
+    m = 15
+    children = {0: frozenset({0, 1}), m: frozenset({0})}
+    children.update({k: frozenset({k + 1}) for k in range(1, m)})
+    refs = {0: frozenset({u.vn(0)})}
+    t = u.canonicalize_all(children, refs)
+    size = len(u)
+    assert u.canonicalize_all({0: frozenset({0})}, {0: refs[0] | {t[1]}}) == {0: t[0]}
+    assert len(u) == size
+
+
+def test_re_encoding_that_names_two_cycles_folds_into_the_newer(monkeypatch):
+    # b_j = {b_j+1, a_0, vn(j)} holds the cycle a; b encoded again with
+    # b_0 also naming b_1 is b, refined with b alone
+    u = Universe()
+    ring = {j: frozenset({(j + 1) % 5}) for j in range(5)}
+    a = u.canonicalize_all(ring, {j: frozenset({u.vn(j)}) for j in range(5)})
+    b_refs = {j: frozenset({a[0], u.vn(j)}) for j in range(5)}
+    b = u.canonicalize_all(ring, b_refs)
+    size = len(u)
+    sizes = counted_refinements(monkeypatch)
+    assert u.canonicalize_all(ring, {**b_refs, 0: b_refs[0] | {b[1]}}) == b
+    assert len(u) == size
+    assert sizes == [10]
 
 
 def unrolled_copy(system, offset):

@@ -65,6 +65,17 @@ def test_simple_witness_preconditions(u):
         arp_witness_simple(u, [u.vn(1)], [u.vn(1)])
 
 
+@pytest.mark.parametrize("verify", [verify_simple_witness, verify_loopy_witness])
+def test_overlap_error_locates_the_clash_in_the_given_lists(u, verify):
+    # the first U item that is also in V, and its first position in V,
+    # counted in the lists as given, not sorted or deduplicated
+    a, b, c = u.vn(3), u.vn(1), u.vn(2)
+    with pytest.raises(PreconditionError) as err:
+        verify(u, [a, a, c, b], [b, c, c])
+    assert err.value.at == (2, 1)
+    assert str(err.value) == f"U and V overlap on {sorted([b, c])}"
+
+
 def test_simple_witness_never_loops_or_doubles(u):
     rng = random.Random(31)
     pool = [u.vn(i) for i in range(8)]
