@@ -39,9 +39,8 @@ def validate(sys: FlatSystem) -> list[str]:
         if name in sys.atoms:
             problems.append(f"{name} is declared both as atom and indeterminate")
     for name, rhs in sys.equations:
-        for ref in sorted(rhs):
-            if ref not in seen and ref not in sys.atoms:
-                problems.append(f"equation for {name} mentions undeclared name {ref}")
+        for ref in sorted(r for r in rhs if r not in seen and r not in sys.atoms):
+            problems.append(f"equation for {name} mentions undeclared name {ref}")
     return problems
 
 

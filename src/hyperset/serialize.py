@@ -35,7 +35,7 @@ them is its own business.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict
 from itertools import count
 
 from .errors import DomainError, ValidationError
@@ -140,80 +140,54 @@ def normal_form(u: Universe, named_roots) -> str:
     members become atom declarations named a0, a1, ... in order of
     first appearance.
     """
-    roots: list[tuple[str | None, SetId]] = []
-    taken_ids = set()
+    roots: dict[SetId, str | None] = {}
     for name, s in named_roots:
-        if s not in taken_ids:
-            taken_ids.add(s)
-            roots.append((name, s))
+        roots.setdefault(s, name)
+    used = {name for name in roots.values() if name is not None}
+    counters = defaultdict(count)
 
-    used: set[str] = set()
-    names: dict[SetId, str] = {}
-    name_order: dict[SetId, int] = {}
-
-    def register(s: SetId, name: str) -> None:
-        names[s] = name
-        name_order[s] = len(name_order)
+    def fresh(prefix: str) -> str:
+        """The first ``prefix<k>`` not used yet, k past every earlier draw."""
+        while (name := f"{prefix}{next(counters[prefix])}") in used:
+            pass
         used.add(name)
+        return name
 
-    nu_counter = count()
-
-    def fresh_nu() -> str:
-        while True:
-            cand = f"{NU}{next(nu_counter)}"
-            if cand not in used:
-                return cand
-
-    atom_counter = count()
+    walk = list(roots)  # the named sets in naming order, breadth-first
+    names = {s: fresh(NU) if name is None else name for s, name in roots.items()}
+    name_order = {s: i for i, s in enumerate(walk)}
     atom_names: dict[SetId, str] = {}
-    atom_order: list[SetId] = []
-
-    def atom_name(s: SetId) -> str:
-        if s not in atom_names:
-            while True:
-                cand = f"a{next(atom_counter)}"
-                if cand not in used:
-                    break
-            used.add(cand)
-            atom_names[s] = cand
-            atom_order.append(s)
-        return atom_names[s]
-
-    for name, _ in roots:
-        if name is not None:
-            used.add(name)
-    queue: deque[SetId] = deque()
-    for name, s in roots:
-        register(s, name if name is not None else fresh_nu())
-        queue.append(s)
 
     # Each order is computed at most once, over the closure of the roots.
     ranks = code_index = None
     eq_lines: list[str] = []
-    while queue:
-        s = queue.popleft()
+    for s in walk:
         wf_children: list[SetId] = []
         nw_children: list[SetId] = []
         for e in u.elements(s):
             (wf_children if u.is_well_founded(e) else nw_children).append(e)
         if len(wf_children) > 1:
             if code_index is None:
-                code_index = wf_code_index(u, [r for _, r in roots])
+                code_index = wf_code_index(u, roots)
             wf_children.sort(key=code_index.__getitem__)
-        fresh = [e for e in nw_children if e not in names]
-        if len(fresh) > 1:
+        unnamed = [e for e in nw_children if e not in names]
+        if len(unnamed) > 1:
             if ranks is None:
-                ranks = structural_ranks(u, [r for _, r in roots])
-            fresh.sort(key=ranks.__getitem__)
-        for e in fresh:
-            register(e, fresh_nu())
-            queue.append(e)
-        rhs = [atom_name(e) for e in wf_children]
+                ranks = structural_ranks(u, roots)
+            unnamed.sort(key=ranks.__getitem__)
+        for e in unnamed:
+            names[e] = fresh(NU)
+            name_order[e] = len(walk)
+            walk.append(e)
+        for e in wf_children:
+            if e not in atom_names:
+                atom_names[e] = fresh("a")
+        rhs = [atom_names[e] for e in wf_children]
         rhs.extend(names[e] for e in sorted(nw_children, key=name_order.__getitem__))
         eq_lines.append(f"{names[s]} = {{{','.join(rhs)}}}")
 
-    atom_lines = [f"atom {atom_names[s]} = {wf_literal(u, s, code_index, numerals=True)}"
-                  for s in atom_order]
+    atom_lines = [f"atom {name} = {wf_literal(u, s, code_index, numerals=True)}"
+                  for s, name in atom_names.items()]
     return "\n".join(atom_lines + eq_lines) + "\n" if eq_lines else ""
 
 

@@ -17,9 +17,10 @@ set is a constant keyed by its handle, and the refinement also
 collapses the piece internally.  Structural colors only find those
 cycles: a piece is colored from itself and the handles it names, and
 again with the stored cycle of the newest handle it names, and the
-store keeps just a table from color to cyclic sets.  The net effect is
-the coarsest stable partition of the combined store-plus-picture graph;
-of the rest of the store a lookup reads only what those colors reach.
+store keeps just a table that files each stored cycle under the colors
+of its sets.  The net effect is the coarsest stable partition of the
+combined store-plus-picture graph; of the rest of the store a lookup
+reads only the cycles those colors file.
 
 Concurrency contract: all mutation goes through a single writer; query
 methods are read-only and safe to call from many threads once
@@ -109,11 +110,10 @@ def _shape_problems(children: Mapping, store_refs: Mapping) -> list[str]:
     no nodes, or an edge or a store ref on a node that is not there."""
     if not children:
         return ["graph has no nodes"]
-    problems = [f"node {n} points at unknown node {c}"
-                for n in sorted(children) for c in sorted(children[n])
-                if c not in children]
+    dangling = sorted((n, c) for n, cs in children.items() for c in cs if c not in children)
+    problems = [f"node {n} points at unknown node {c}" for n, c in dangling]
     problems += [f"store_refs mentions unknown node {n}"
-                 for n in sorted(store_refs) if n not in children]
+                 for n in sorted(n for n in store_refs if n not in children)]
     return problems
 
 
@@ -440,8 +440,9 @@ class Universe:
         self._elems: list[tuple[SetId, ...]] = []
         self._wf: list[bool] = []
         self._intern: dict[tuple[SetId, ...], SetId] = {}
-        # final color -> the stored cyclic sets of that color
-        self._bucket: dict[int, list[SetId]] = {}
+        # final color -> the indices in _cycles of the stored cycles
+        # that hold a set of that color, each once
+        self._bucket: dict[int, list[int]] = {}
         # one range of consecutive handles per stored cyclic batch, each
         # a strongly connected piece of the store, in handle order
         self._cycles: list[range] = []
@@ -509,17 +510,17 @@ class Universe:
     def _append_cyclic_batch(self, records, colors) -> None:
         """Append the sets of one cyclic piece, a strongly connected piece
         of the store whose other elements predate it: record i becomes
-        handle ``len(self) + i``, filed in ``_bucket`` under ``colors[i]``
-        (the first cycle's wait for a lookup), and the batch a range in
-        ``_cycles``."""
+        handle ``len(self) + i``, and the batch a stored cycle, a range in
+        ``_cycles`` whose index is filed in ``_bucket`` once under each
+        of its ``colors`` (the first cycle's wait for a lookup)."""
         base = len(self._elems)
         if self._max_sets is not None and base + len(records) > self._max_sets:
             raise UniverseFull(f"universe cap of {self._max_sets} sets reached")
         for key in records:
             self._append(key, False)
+        for color in set(colors):
+            self._bucket.setdefault(color, []).append(len(self._cycles))
         self._cycles.append(range(base, len(self._elems)))
-        for sid, color in zip(self._cycles[-1], colors):
-            self._bucket.setdefault(color, []).append(sid)
 
     def _cycle_of(self, s: SetId) -> range | None:
         """The stored cycle that holds ``s``, if any."""
@@ -667,16 +668,16 @@ class Universe:
         """Match one cyclic piece against the store, or mint fresh sets.
 
         If a piece node equals a set of a stored cycle, every piece node
-        does.  The region, the whole stored cycles holding a piece node's
-        color bucket, is refined jointly with the piece by
+        does.  The region, the union of the stored cycles filed under a
+        piece node's color, is refined jointly with the piece by
         :func:`refine_ranks`, every other child a constant keyed by its
         handle; that also collapses the piece.
 
         The lookup is exact.  Say node m equals stored t of cycle S.  If
-        the piece names no handle of S, t is in m's bucket.  Else every
-        handle it names is in S or predates S, as elements of S's sets
-        are: S holds the newest, and with S's handles as nodes m gets t's
-        color.  Fresh sets take their nodes' colors.
+        the piece names no handle of S, S is filed under m's color.  Else
+        every handle it names is in S or predates S, as elements of S's
+        sets are: S holds the newest, and with S's handles as nodes m gets
+        t's color.  A fresh cycle is filed under its nodes' colors.
         """
         elems = self._elems
         base = len(elems)
@@ -693,15 +694,14 @@ class Universe:
                 first = self._cycles[0]
                 inside = {s: [e for e in elems[s] if e in first] for s in first}
                 outside = {s: [e for e in elems[s] if e not in first] for s in first}
-                for s, c in self._color_rounds(first, inside, outside).items():
-                    self._bucket.setdefault(c, []).append(s)
+                for c in set(self._color_rounds(first, inside, outside).values()):
+                    self._bucket.setdefault(c, []).append(0)
             col = self._color_rounds(piece, internal, external)
             colorings = [col]  # and one with the only cycle it can equal while naming it
             if named := self._cycle_of(max((e for p in piece for e in external[p]), default=-1)):
                 colorings.append(self._color_rounds(piece, internal, external, named))
-            for s in {s for c in colorings for p in piece for s in self._bucket.get(c[p], ())}:
-                if s not in region:
-                    region.update(self._cycle_of(s))
+            for k in {k for c in colorings for p in piece for k in self._bucket.get(c[p], ())}:
+                region.update(self._cycles[k])
 
         kids2, consts = {}, {}
         for p in piece:

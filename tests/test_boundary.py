@@ -5,6 +5,10 @@ the element tuples) is decided in ``universe.py`` alone, so that it can
 change there without touching the modules built on it.  Every other
 module reads private attributes only of its own objects (``self`` or
 ``cls``); a scan of their syntax trees checks that.
+
+No module keeps an import it never reads, save the names that
+``perfbench/spans.py`` patches on it to time a layer; a second scan
+checks that, against an allowlist that must shrink as those go.
 """
 
 import ast
@@ -34,3 +38,29 @@ def test_no_module_reads_another_objects_private_attributes():
     assert len(paths) > 5
     hits = [hit for p in paths for hit in foreign_private_reads(p)]
     assert hits == []
+
+
+# Imported only so that perfbench/spans.py can patch them by name; no
+# code calls them through these modules.
+PATCHED_ONLY = {"cli.closure", "cli.parse_set_literal", "serialize.closure",
+                "witnesses.closure", "witnesses.undirect"}
+
+
+def unread_imports(path: Path) -> set[str]:
+    """``module.name`` for each name ``path`` imports and never reads;
+    ``from __future__`` imports are directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {f"{path.stem}.{name}" for name in imported - read}
+
+
+def test_no_module_keeps_an_import_it_never_reads():
+    paths = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert len(paths) > 5
+    assert set().union(*map(unread_imports, paths)) == PATCHED_ONLY

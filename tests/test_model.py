@@ -13,7 +13,8 @@ formats and back.  Checked throughout:
 * queries, serialization and round trips never grow the store, and
   round trips and re-pictures give back the same handle;
 * the store's list of cycles is exactly its strongly connected pieces
-  that lie on a membership cycle.
+  that lie on a membership cycle, and the color index files stored
+  cycles: each once per color, and all of them once it files any.
 """
 
 import random
@@ -175,6 +176,16 @@ class StoreMachine(RuleBasedStateMachine):
         pieces = [sorted(c) for c in _sccs(kids, kids)
                   if len(c) > 1 or c[0] in kids[c[0]]]
         assert sorted(pieces) == [list(c) for c in u._cycles]
+
+    @invariant()
+    def bucket_files_stored_cycles(self):
+        """Every ``_bucket`` list holds distinct indices into ``_cycles``.
+        The first cycle is filed at the first lookup and every later one
+        at its mint, so once anything is filed every cycle is."""
+        u = self.u
+        assert all(len(set(ks)) == len(ks) for ks in u._bucket.values())
+        if u._bucket:
+            assert set().union(*u._bucket.values()) == set(range(len(u._cycles)))
 
 
 TestStoreModel = StoreMachine.TestCase
