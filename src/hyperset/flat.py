@@ -38,14 +38,19 @@ def validate(sys: FlatSystem) -> list[str]:
         seen.add(name)
         if name in sys.atoms:
             problems.append(f"{name} is declared both as atom and indeterminate")
+    declared = seen.union(sys.atoms)
     for name, rhs in sys.equations:
-        for ref in sorted(r for r in rhs if r not in seen and r not in sys.atoms):
-            problems.append(f"equation for {name} mentions undeclared name {ref}")
+        if not declared.issuperset(rhs):
+            for ref in sorted(r for r in rhs if r not in declared):
+                problems.append(f"equation for {name} mentions undeclared name {ref}")
     return problems
 
 
 def solve(u: Universe, sys: FlatSystem) -> dict[str, SetId]:
     """Unique solution of the system, one canonical handle per name.
+
+    Node i is the i-th equation; one pass over its right-hand side lists
+    its indeterminates and atom handles for ``canonicalize_all``.
 
     Raises ValidationError when the system breaks its invariants.
     """
@@ -53,14 +58,18 @@ def solve(u: Universe, sys: FlatSystem) -> dict[str, SetId]:
     if problems:
         raise ValidationError("; ".join(problems))
     names = sys.indeterminates()
-    index = {name: i for i, name in enumerate(names)}
-    children = {}
-    refs = {}
-    for name, rhs in sys.equations:
-        i = index[name]
-        children[i] = frozenset(index[r] for r in rhs if r in index)
-        refs[i] = frozenset(sys.atoms[r] for r in rhs if r not in index)
     if not names:
         return {}
+    index = {name: i for i, name in enumerate(names)}
+    children, refs = {}, {}
+    for i, (_, rhs) in enumerate(sys.equations):
+        children[i] = kids = []
+        refs[i] = rs = []
+        for r in rhs:
+            j = index.get(r)
+            if j is None:
+                rs.append(sys.atoms[r])
+            else:
+                kids.append(j)
     solution = u.canonicalize_all(children, refs)
-    return {name: solution[index[name]] for name in names}
+    return {name: solution[i] for i, name in enumerate(names)}

@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import MalformedGraph, UniverseFull, UnknownHandle, ValidationError
 
@@ -299,9 +299,12 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
                     here = count[ids[i]] = {}
                     for v in g:
                         for p in preds[v]:
-                            here[p] = here.get(p, 0) + 1
+                            if block_of[p] >= 0:
+                                here[p] = here.get(p, 0) + 1
                 for v in g:
                     for p in preds[v]:
+                        if block_of[p] < 0:  # p can never split off
+                            continue
                         left = rest[p] - 1
                         if left:
                             rest[p] = left
@@ -314,8 +317,6 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
             if ids[ic] < 0:
                 del count[c]
             for p, hit in hits.items():
-                if block_of[p] < 0:  # p can never split off
-                    continue
                 if p in rest:
                     insort(hit, ic)
                 # p's last block is among the pieces iff it was c
@@ -484,11 +485,10 @@ class Universe:
     # -- construction --------------------------------------------------
 
     def _append(self, elems: tuple[SetId, ...], wf: bool) -> SetId:
-        """Append a set.  Unless :meth:`_append_cyclic_batch` appends it,
-        its elements all exist already, so it can never lie on a
-        membership cycle (its descendants all predate it), no cyclic
-        cluster can ever match it, and a lookup reads it only as a fixed
-        label: its handle.
+        """Append a set whose elements all exist already.  So it can never
+        lie on a membership cycle (its descendants all predate it), no
+        cyclic cluster can ever match it, and a lookup reads it only as a
+        fixed label: its handle.
 
         Every well-founded set is stored here, so the numeral cache grows
         here: while the tuple ``_vn`` lists vn(0..k), it is the element
@@ -512,15 +512,21 @@ class Universe:
         of the store whose other elements predate it: record i becomes
         handle ``len(self) + i``, and the batch a stored cycle, a range in
         ``_cycles`` whose index is filed in ``_bucket`` once under each
-        of its ``colors`` (the first cycle's wait for a lookup)."""
+        of its ``colors`` (the first cycle's wait for a lookup).  They are
+        stored in bulk, not by :meth:`_append`: a set on a membership cycle
+        is never the next numeral, so ``_vn`` stays as it is."""
         base = len(self._elems)
-        if self._max_sets is not None and base + len(records) > self._max_sets:
+        end = base + len(records)
+        if self._max_sets is not None and end > self._max_sets:
             raise UniverseFull(f"universe cap of {self._max_sets} sets reached")
-        for key in records:
-            self._append(key, False)
+        self._elems.extend(records)
+        self._wf.extend([False] * len(records))
+        n = len(self._intern)
+        self._intern.update(zip(records, range(base, end)))
+        assert len(self._intern) == n + len(records)
         for color in set(colors):
             self._bucket.setdefault(color, []).append(len(self._cycles))
-        self._cycles.append(range(base, len(self._elems)))
+        self._cycles.append(range(base, end))
 
     def _cycle_of(self, s: SetId) -> range | None:
         """The stored cycle that holds ``s``, if any."""
@@ -631,14 +637,16 @@ class Universe:
             raise MalformedGraph("; ".join(problems))
         return self.canonicalize_all(g.children, g.store_refs)[g.root]
 
-    def canonicalize_all(self, children: Mapping[int, frozenset[int]],
-                         store_refs: Mapping[int, frozenset[SetId]] | None = None,
+    def canonicalize_all(self, children: Mapping[int, Collection[int]],
+                         store_refs: Mapping[int, Collection[SetId]] | None = None,
                          ) -> dict[int, SetId]:
         """Insert a picture and resolve every node to its canonical handle.
 
         Unlike :meth:`canonicalize` this treats every node as a root, so
         no reachability requirement applies; it is the natural primitive
-        for solving systems of equations.
+        for solving systems of equations.  ``children[n]`` and ``store_refs[n]``
+        are collections of ints in any order, with repeats or not; every
+        store ref given is checked.
         """
         store_refs = store_refs or {}
         problems = _shape_problems(children, store_refs)
@@ -646,12 +654,10 @@ class Universe:
             raise MalformedGraph(problems[0])
         nodes = sorted(children)
         kids = {n: sorted(set(children[n])) for n in nodes}
-        refs = {}
-        for n in nodes:
-            rs = sorted(set(store_refs.get(n, ())))
+        refs = {n: store_refs.get(n, ()) for n in nodes}
+        for rs in refs.values():
             for r in rs:
                 self._check(r)
-            refs[n] = tuple(rs)
 
         resolved: dict[int, SetId] = {}
         for comp in _sccs(nodes, kids):
@@ -685,8 +691,15 @@ class Universe:
         ids = dict(zip(comp, piece))
         internal, external = {}, {}
         for n, p in ids.items():
-            internal[p] = [ids[c] for c in kids[n] if c in ids]
-            external[p] = sorted({*refs[n], *(resolved[c] for c in kids[n] if c not in ids)})
+            inside, outside = [], [*refs[n]]
+            for c in kids[n]:
+                q = ids.get(c)
+                if q is None:
+                    outside.append(resolved[c])
+                else:
+                    inside.append(q)
+            internal[p] = inside
+            external[p] = tuple(sorted(set(outside)) if len(outside) > 1 else outside)
 
         col, region = {}, set()
         if self._cycles:  # else nothing can match, and the fresh sets wait for a lookup
@@ -703,13 +716,15 @@ class Universe:
             for k in {k for c in colorings for p in piece for k in self._bucket.get(c[p], ())}:
                 region.update(self._cycles[k])
 
-        kids2, consts = {}, {}
-        for p in piece:
-            kids2[p] = internal[p] + [r for r in external[p] if r in region]
-            consts[p] = tuple(r for r in external[p] if r not in region)
-        for s in region:
-            kids2[s] = [t for t in elems[s] if t in region]
-            consts[s] = tuple(t for t in elems[s] if t not in region)
+        kids2, consts = internal, external
+        if region:
+            kids2, consts = {}, {}
+            for p in piece:
+                kids2[p] = internal[p] + [r for r in external[p] if r in region]
+                consts[p] = tuple(r for r in external[p] if r not in region)
+            for s in region:
+                kids2[s] = [t for t in elems[s] if t in region]
+                consts[s] = tuple(t for t in elems[s] if t not in region)
 
         rank = refine_ranks(kids2.keys(), kids2, consts)
 
@@ -726,6 +741,6 @@ class Universe:
             resolved[n] = value[b]
 
         if fresh:
-            records = [tuple(sorted({*external[p], *(value[rank[c]] for c in internal[p])}))
+            records = [tuple(sorted({*external[p], *[value[rank[c]] for c in internal[p]]}))
                        for p in fresh]
             self._append_cyclic_batch(records, [col[p] for p in fresh] if col else ())

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from hyperset.errors import ValidationError
+from hyperset.errors import MalformedGraph, UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve, validate
-from hyperset.universe import Apg
+from hyperset.universe import Apg, Universe
 
 from oracles import apgs_bisimilar, distinct_pairs_bisimilar
 
@@ -57,6 +57,81 @@ def test_validate_reports_violations(u):
 
     with pytest.raises(ValidationError):
         solve(u, undeclared)
+
+
+def test_validate_messages_are_exact_and_in_order(u):
+    """Equation problems come first, in equation order; then each
+    equation's undeclared names, sorted, in equation order."""
+    sys = FlatSystem(
+        atoms={"a": u.vn(0), "y": u.vn(1)},
+        equations=[("x", frozenset({"zz", "x", "b", "a", "m"})),
+                   ("y", frozenset()),
+                   ("x", frozenset({"q", "y", "c"})),
+                   ("w", frozenset({"p", "x", "d", "a"}))])
+    expected = [
+        "y is declared both as atom and indeterminate",
+        "duplicate equation for x",
+        "equation for x mentions undeclared name b",
+        "equation for x mentions undeclared name m",
+        "equation for x mentions undeclared name zz",
+        "equation for x mentions undeclared name c",
+        "equation for x mentions undeclared name q",
+        "equation for w mentions undeclared name d",
+        "equation for w mentions undeclared name p",
+    ]
+    assert validate(sys) == expected
+    with pytest.raises(ValidationError) as err:
+        solve(u, sys)
+    assert str(err.value) == "; ".join(expected)
+
+
+def test_solution_does_not_depend_on_the_containers():
+    """Frozensets, lists with repeats and tuples picture the same sets,
+    so two fresh stores given the same pictures hand out the same
+    handles, and ``solve`` (which hands over plain lists) finds them."""
+    rng = random.Random(23)
+    for k in range(200):
+        u, v = Universe(), Universe()
+        for w in (u, v):
+            w.vn(5)  # every atom random_system draws, at the same handles
+        sys = random_system(rng, u)
+        index = {name: i for i, name in enumerate(sys.indeterminates())}
+        frozen, frozen_refs, listed, listed_refs = {}, {}, {}, {}
+        for name, rhs in sys.equations:
+            i = index[name]
+            frozen[i] = frozenset(index[r] for r in rhs if r in index)
+            frozen_refs[i] = frozenset(sys.atoms[r] for r in rhs if r not in index)
+            kids, rs = [*frozen[i]] * 2, [*frozen_refs[i]] * 2
+            rng.shuffle(kids)
+            rng.shuffle(rs)
+            listed[i], listed_refs[i] = (kids, tuple(rs)) if k % 2 else (tuple(kids), rs)
+        resolved = u.canonicalize_all(frozen, frozen_refs)
+        assert v.canonicalize_all(listed, listed_refs) == resolved
+        assert len(u) == len(v)
+        size = len(u)
+        assert solve(u, sys) == {name: resolved[i] for name, i in index.items()}
+        assert len(u) == size
+        assert distinct_pairs_bisimilar(u) == []
+        assert distinct_pairs_bisimilar(v) == []
+
+
+def test_canonicalize_all_checks_every_store_ref():
+    u = Universe()
+    u.vn(2)
+    for ref in (-1, len(u), 1.5, "0"):
+        for rs in ([ref], (ref, ref)):
+            with pytest.raises(UnknownHandle):
+                u.canonicalize_all({0: [0]}, {0: rs})
+    with pytest.raises(UnknownHandle):  # not only the least and the largest ref
+        u.canonicalize_all({0: [0]}, {0: [0, 1.5, 2]})
+    assert len(u) == 3
+
+
+def test_canonicalize_all_reports_the_first_dangling_child():
+    u = Universe()
+    with pytest.raises(MalformedGraph) as err:
+        u.canonicalize_all({0: [1, 7, 7, 5], 1: (0, 0), 2: [9]})
+    assert str(err.value) == "node 0 points at unknown node 5"
 
 
 def test_empty_system(u):

@@ -34,6 +34,13 @@ membership with BIT adjacency on the 200 million pairs of codes up to
 reads each membership once.  In ``alias.hs`` two names denote one set,
 so ``undirect`` is given a handle twice: each of its memberships must
 still count once, and its double edge keep multiplicity 2.
+``chord400`` is shaped like the largest system files of the benchmark:
+a 400-node cycle with chords, some of which reverse a cycle edge, and
+a numeral, a nested and a wide literal as atoms.  With ``cycle200.solve``
+it pins the output of the path from ``flat.solve`` through the cyclic
+piece's refinement to the fresh stored cycle, the path every ``solve``
+and ``undirect`` of a system file takes; being in ``CASES``, these also
+run through the installed ``hyperset`` console script in CI.
 
 Each case also runs on stores that already hold other sets, so that
 handles differ from a fresh store's: the output must not change.
@@ -71,6 +78,9 @@ CASES = {
     "cycle40.loopy": ["undirect", "{dir}/cycle40.hs", "--mode", "loopy"],
     "cycle40.double": ["undirect", "{dir}/cycle40.hs", "--mode", "double"],
     "cycle200.multi": ["undirect", "{dir}/cycle200.hs", "--mode", "multi"],
+    "cycle200.solve": ["solve", "{dir}/cycle200.hs"],
+    "chord400.solve": ["solve", "{dir}/chord400.hs"],
+    "chord400.multi": ["undirect", "{dir}/chord400.hs", "--mode", "multi"],
     "star5.seed30": ["star", "5", "--seed", "30"],
     "star3.seed120": ["star", "3", "--seed", "120"],
     "star4.seed250": ["star", "4", "--seed", "250"],

@@ -15,6 +15,10 @@ formats and back.  Checked throughout:
 * the store's list of cycles is exactly its strongly connected pieces
   that lie on a membership cycle, and the color index files stored
   cycles: each once per color, and all of them once it files any.
+
+The machine runs a second time, with fewer examples, on a store that
+gives every node the same color, so that every stored cycle is a
+candidate of every lookup: the checks above must still hold.
 """
 
 import random
@@ -188,6 +192,28 @@ class StoreMachine(RuleBasedStateMachine):
             assert set().union(*u._bucket.values()) == set(range(len(u._cycles)))
 
 
+class ColorBlindUniverse(Universe):
+    """A store whose colors file every stored cycle under one color, so
+    every stored cycle is a candidate of every lookup."""
+
+    def _color_rounds(self, piece, *args):
+        return dict.fromkeys(piece, 0)
+
+
+class ColorBlindStoreMachine(StoreMachine):
+    """The same rules and invariants on a :class:`ColorBlindUniverse`:
+    colors only pick the candidates, and refinement alone decides which
+    stored set a piece equals."""
+
+    def __init__(self):
+        super().__init__()
+        self.u = ColorBlindUniverse()
+
+
 TestStoreModel = StoreMachine.TestCase
 TestStoreModel.settings = settings(max_examples=100, stateful_step_count=25, deadline=None,
                                    suppress_health_check=[HealthCheck.too_slow])
+TestColorBlindStoreModel = ColorBlindStoreMachine.TestCase
+TestColorBlindStoreModel.settings = settings(max_examples=50, stateful_step_count=25,
+                                             deadline=None,
+                                             suppress_health_check=[HealthCheck.too_slow])
