@@ -87,8 +87,6 @@ def cmd_undirect(args) -> int:
     u = _universe()
     solution = solve(u, parse_system(u, _read(args.file)))
     graph = undirect(u, solution.values(), "double_only" if args.mode == "double" else args.mode)
-    if not graph.vertices:
-        return 0
     _write_graph(emit_graph(u, graph))
     return 0
 

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from .errors import ContractViolation, DomainError, PreconditionError
+from .reducts import adjacent, has_loop
 from .universe import SetId, Universe
-from .witnesses import PatternGraph, arp_witness_loopy, arp_witness_simple, component, star
+from .witnesses import (PatternGraph, _disjoint_sorted, arp_witness_loopy, arp_witness_simple,
+                        component, star)
 
 DEFAULT_CODE_BOUND = 2 ** 64
 
@@ -48,10 +51,7 @@ def bit_witness(us, vs) -> int:
     The top bit exponent is max(U union V) + 1, which forces the result
     above everything given, so only the low-bit conditions matter.
     """
-    us, vs = sorted(set(us)), sorted(set(vs))
-    overlap = set(us) & set(vs)
-    if overlap:
-        raise PreconditionError(f"U and V overlap on {sorted(overlap)}")
+    us, vs = _disjoint_sorted(us, vs)
     if any(a < 0 for a in us + vs):
         raise PreconditionError("vertices are naturals")
     m = max(us + vs, default=-1) + 1
@@ -287,9 +287,7 @@ def _bit_game_witness(us, vs) -> int:
     :func:`bit_witness` is the last resort and is refused once it stops
     being representable.
     """
-    us, vs = sorted(set(us)), sorted(set(vs))
-    if set(us) & set(vs):
-        raise PreconditionError("U and V overlap")
+    us, vs = _disjoint_sorted(us, vs)
     us_set, vs_set = set(us), set(vs)
 
     def ok(z):
@@ -349,8 +347,8 @@ def hf_membership_oracle(u: Universe) -> ExtensionOracle:
     return ExtensionOracle(
         kind="simple",
         vertex=coder.decode,
-        adjacent=lambda a, b: u.is_member(a, b) or u.is_member(b, a),
-        has_loop=lambda v: u.is_member(v, v),
+        adjacent=partial(adjacent, u),
+        has_loop=partial(has_loop, u),
         witness=lambda us, vs: arp_witness_simple(u, us, vs),
         label=label,
     )
@@ -410,8 +408,8 @@ def hyperset_loopy_oracle(u: Universe, seed: int = 0) -> ExtensionOracle:
     return ExtensionOracle(
         kind="loopy",
         vertex=vertex,
-        adjacent=lambda a, b: u.is_member(a, b) or u.is_member(b, a),
-        has_loop=lambda v: u.is_member(v, v),
+        adjacent=partial(adjacent, u),
+        has_loop=partial(has_loop, u),
         witness=lambda us, vs: arp_witness_loopy(u, us, vs)[:2],
         label=label,
     )

@@ -107,6 +107,11 @@ def undirect(u: Universe, sets: Iterable[SetId], mode: str) -> MultiGraph:
     return MultiGraph(vertices=verts, multiplicity=Multiplicities(mult, chain))
 
 
+def adjacent(u: Universe, a: SetId, b: SetId) -> bool:
+    """a in b or b in a: an edge of the loopy reduct."""
+    return u.is_member(a, b) or u.is_member(b, a)
+
+
 def has_loop(u: Universe, x: SetId) -> bool:
     return u.is_member(x, x)
 

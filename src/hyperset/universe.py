@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import MalformedGraph, UniverseFull, UnknownHandle, ValidationError
 
@@ -295,16 +295,15 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
             for i, g in enumerate(groups):
                 if i == ic:
                     continue
+                here = None
                 if len(g) > 1:
                     here = count[ids[i]] = {}
-                    for v in g:
-                        for p in preds[v]:
-                            if block_of[p] >= 0:
-                                here[p] = here.get(p, 0) + 1
                 for v in g:
                     for p in preds[v]:
                         if block_of[p] < 0:  # p can never split off
                             continue
+                        if here is not None:
+                            here[p] = here.get(p, 0) + 1
                         left = rest[p] - 1
                         if left:
                             rest[p] = left
@@ -387,50 +386,40 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
 
 
 def _sccs(nodes, kids):
-    """Tarjan's algorithm, iterative; yields components children-first."""
+    """Tarjan's algorithm, iterative; yields components children-first.
+    A visited node is on the stack until its component is emitted, which
+    also drops its ``low`` entry: it is on the stack iff it is in ``low``."""
     index = {}
     low = {}
-    on_stack = set()
     stack = []
     out = []
-    counter = 0
     for start in nodes:
         if start in index:
             continue
         call = [(start, iter(kids[start]))]
-        index[start] = low[start] = counter
-        counter += 1
+        index[start] = low[start] = len(index)
         stack.append(start)
-        on_stack.add(start)
         while call:
             node, it = call[-1]
-            advanced = False
             for child in it:
                 if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
+                    index[child] = low[child] = len(index)
                     stack.append(child)
-                    on_stack.add(child)
                     call.append((child, iter(kids[child])))
-                    advanced = True
                     break
-                if child in on_stack:
+                if child in low:
                     low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            call.pop()
-            if call:
-                parent = call[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(comp)
+            else:
+                call.pop()
+                if call:
+                    parent = call[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while node in low:
+                        comp.append(w := stack.pop())
+                        del low[w]
+                    out.append(comp)
     return out
 
 
@@ -484,6 +473,11 @@ class Universe:
 
     # -- construction --------------------------------------------------
 
+    def _reserve(self, n: int) -> None:
+        """Raise :class:`UniverseFull` unless ``n`` more sets fit under the cap."""
+        if self._max_sets is not None and len(self._elems) + n > self._max_sets:
+            raise UniverseFull(f"universe cap of {self._max_sets} sets reached")
+
     def _append(self, elems: tuple[SetId, ...], wf: bool) -> SetId:
         """Append a set whose elements all exist already.  So it can never
         lie on a membership cycle (its descendants all predate it), no
@@ -494,8 +488,7 @@ class Universe:
         here: while the tuple ``_vn`` lists vn(0..k), it is the element
         tuple of vn(k+1), and length and last element rule out the rest.
         """
-        if self._max_sets is not None and len(self._elems) >= self._max_sets:
-            raise UniverseFull(f"universe cap of {self._max_sets} sets reached")
+        self._reserve(1)
         sid = len(self._elems)
         self._elems.append(elems)
         self._wf.append(wf)
@@ -515,10 +508,9 @@ class Universe:
         of its ``colors`` (the first cycle's wait for a lookup).  They are
         stored in bulk, not by :meth:`_append`: a set on a membership cycle
         is never the next numeral, so ``_vn`` stays as it is."""
+        self._reserve(len(records))
         base = len(self._elems)
         end = base + len(records)
-        if self._max_sets is not None and end > self._max_sets:
-            raise UniverseFull(f"universe cap of {self._max_sets} sets reached")
         self._elems.extend(records)
         self._wf.extend([False] * len(records))
         n = len(self._intern)
@@ -637,30 +629,30 @@ class Universe:
             raise MalformedGraph("; ".join(problems))
         return self.canonicalize_all(g.children, g.store_refs)[g.root]
 
-    def canonicalize_all(self, children: Mapping[int, Collection[int]],
-                         store_refs: Mapping[int, Collection[SetId]] | None = None,
+    def canonicalize_all(self, children: Mapping[int, Iterable[int]],
+                         store_refs: Mapping[int, Iterable[SetId]] | None = None,
                          ) -> dict[int, SetId]:
         """Insert a picture and resolve every node to its canonical handle.
 
         Unlike :meth:`canonicalize` this treats every node as a root, so
         no reachability requirement applies; it is the natural primitive
         for solving systems of equations.  ``children[n]`` and ``store_refs[n]``
-        are collections of ints in any order, with repeats or not; every
-        store ref given is checked.
+        are iterables of ints in any order, with repeats or not, each read
+        once; every store ref given is checked.
         """
         store_refs = store_refs or {}
-        problems = _shape_problems(children, store_refs)
+        kids = {n: set(cs) for n, cs in children.items()}  # each read once
+        problems = _shape_problems(kids, store_refs)
         if problems:
             raise MalformedGraph(problems[0])
-        nodes = sorted(children)
-        kids = {n: sorted(set(children[n])) for n in nodes}
-        refs = {n: store_refs.get(n, ()) for n in nodes}
+        kids = {n: sorted(kids[n]) for n in sorted(kids)}
+        refs = {n: tuple(store_refs.get(n, ())) for n in kids}
         for rs in refs.values():
             for r in rs:
                 self._check(r)
 
         resolved: dict[int, SetId] = {}
-        for comp in _sccs(nodes, kids):
+        for comp in _sccs(kids, kids):
             n = comp[0]
             if len(comp) == 1 and n not in kids[n]:
                 elems = set(refs[n])

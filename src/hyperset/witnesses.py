@@ -25,6 +25,8 @@ from .errors import ContractViolation, PreconditionError, ValidationError
 from .flat import FlatSystem, solve
 from .reducts import (
     MultiGraph,
+    _double_neighbors,
+    adjacent,
     closure,
     double_component,
     double_degree,
@@ -49,10 +51,6 @@ class WitnessReport:
         return [name for name, flag in self.conditions if not flag]
 
 
-def _adjacent(u: Universe, a: SetId, b: SetId) -> bool:
-    return u.is_member(a, b) or u.is_member(b, a)
-
-
 def _disjoint_sorted(us, vs) -> tuple[list, list]:
     """``us``, ``vs`` sorted, deduplicated; an overlap raises ``at`` its first positions."""
     us, vs = list(us), list(vs)
@@ -62,6 +60,14 @@ def _disjoint_sorted(us, vs) -> tuple[list, list]:
         raise PreconditionError(f"U and V overlap on {sorted(overlap)}",
                                 at=(i, vs.index(us[i])))
     return sorted(set(us)), sorted(set(vs))
+
+
+def _adjacency_conditions(u: Universe, zs: dict, us, vs) -> list[tuple[str, bool]]:
+    """``<z>_adjacent_u<i>`` for each u_i, then ``<z>_not_adjacent_v<j>``
+    for each v_j, each over every named witness z of ``zs`` in order."""
+    return [(f"{name}_{tag}{i}", adjacent(u, z, s) == want)
+            for tag, sets, want in (("adjacent_u", us, True), ("not_adjacent_v", vs, False))
+            for i, s in enumerate(sets) for name, z in zs.items()]
 
 
 def arp_witness_simple(u: Universe, us, vs) -> SetId:
@@ -82,11 +88,8 @@ def verify_simple_witness(u: Universe, us, vs) -> WitnessReport:
     z = u.make_set(us + [v_hat])
     conditions = [("z_well_founded", u.is_well_founded(z)),
                   ("z_loopless", not has_loop(u, z)),
-                  ("z_fresh", z not in us and z not in vs)]
-    for i, m in enumerate(us):
-        conditions.append((f"z_adjacent_u{i}", _adjacent(u, z, m)))
-    for j, m in enumerate(vs):
-        conditions.append((f"z_not_adjacent_v{j}", not _adjacent(u, z, m)))
+                  ("z_fresh", z not in us and z not in vs),
+                  *_adjacency_conditions(u, {"z": z}, us, vs)]
     return WitnessReport(witnesses={"z": z}, conditions=conditions)
 
 
@@ -147,13 +150,8 @@ def verify_loopy_witness(u: Universe, us, vs) -> WitnessReport:
         ("z2_ne_x", z2 != x),
         ("z1_fresh", z1 not in us and z1 not in vs),
         ("z2_fresh", z2 not in us and z2 not in vs),
+        *_adjacency_conditions(u, {"z1": z1, "z2": z2}, us, vs),
     ]
-    for i, s in enumerate(us):
-        conditions.append((f"z1_adjacent_u{i}", _adjacent(u, z1, s)))
-        conditions.append((f"z2_adjacent_u{i}", _adjacent(u, z2, s)))
-    for j, s in enumerate(vs):
-        conditions.append((f"z1_not_adjacent_v{j}", not _adjacent(u, z1, s)))
-        conditions.append((f"z2_not_adjacent_v{j}", not _adjacent(u, z2, s)))
     return WitnessReport(witnesses={"z1": z1, "z2": z2, "x": x},
                          conditions=conditions)
 
@@ -289,7 +287,6 @@ def double_component_graph(u: Universe, members) -> MultiGraph:
     for m in members:
         u.elements(m)
     comp = double_component(u, members[0])
-    # y == x is a loop; a double edge is listed from its smaller end
-    return MultiGraph(vertices=comp, multiplicity={
-        (x, y): 1 if y == x else 2 for x in comp for y in u.elements(x)
-        if y == x or (x < y and u.is_member(x, y))})
+    return MultiGraph(vertices=comp, multiplicity={  # a double edge from its smaller end
+        **{(x, x): 1 for x in comp if has_loop(u, x)},
+        **{(x, y): 2 for x in comp for y in _double_neighbors(u, x) if x < y}})

@@ -6,6 +6,11 @@ change there without touching the modules built on it.  Every other
 module reads private attributes only of its own objects (``self`` or
 ``cls``); a scan of their syntax trees checks that.
 
+Membership is read pairwise (``is_member``) only in ``universe.py``
+and in ``reducts.py``, which defines the rules the reducts, witnesses
+and games share: adjacency, loops and double edges.  Another scan
+checks that.
+
 No module keeps an import it never reads, save the names that
 ``perfbench/spans.py`` patches on it to time a layer; a second scan
 checks that, against an allowlist that must shrink as those go.
@@ -38,6 +43,20 @@ def test_no_module_reads_another_objects_private_attributes():
     assert len(paths) > 5
     hits = [hit for p in paths for hit in foreign_private_reads(p)]
     assert hits == []
+
+
+def member_calls(path: Path) -> list[str]:
+    """``file:line`` of each call of a method named ``is_member``."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "is_member"]
+
+
+def test_only_the_store_and_the_reducts_read_membership_pairs():
+    paths = sorted(p for p in SRC.glob("*.py") if p.name not in ("universe.py", "reducts.py"))
+    assert len(paths) > 5
+    assert [hit for p in paths for hit in member_calls(p)] == []
 
 
 # Imported only so that perfbench/spans.py can patch them by name; no

@@ -86,9 +86,10 @@ def test_validate_messages_are_exact_and_in_order(u):
 
 
 def test_solution_does_not_depend_on_the_containers():
-    """Frozensets, lists with repeats and tuples picture the same sets,
-    so two fresh stores given the same pictures hand out the same
-    handles, and ``solve`` (which hands over plain lists) finds them."""
+    """Frozensets, lists with repeats, tuples and one-shot iterators
+    picture the same sets, so two fresh stores given the same pictures
+    hand out the same handles, and ``solve`` (which hands over plain
+    lists) finds them."""
     rng = random.Random(23)
     for k in range(200):
         u, v = Universe(), Universe()
@@ -104,7 +105,8 @@ def test_solution_does_not_depend_on_the_containers():
             kids, rs = [*frozen[i]] * 2, [*frozen_refs[i]] * 2
             rng.shuffle(kids)
             rng.shuffle(rs)
-            listed[i], listed_refs[i] = (kids, tuple(rs)) if k % 2 else (tuple(kids), rs)
+            listed[i], listed_refs[i] = [(kids, tuple(rs)), (tuple(kids), rs),
+                                         (iter(kids), iter(rs))][k % 3]
         resolved = u.canonicalize_all(frozen, frozen_refs)
         assert v.canonicalize_all(listed, listed_refs) == resolved
         assert len(u) == len(v)

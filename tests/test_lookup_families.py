@@ -17,6 +17,11 @@ plus the stored cycle it equals, and nothing else.  Where the colors
 today make more cycles candidates, the guard is a strict xfail that
 names the ROADMAP item that removes the cliff.
 
+The time guards say how encoding a family scales: best of three at
+size n and at 2n, the ratio below 3.  A ratio does not depend on how
+fast the machine is, and a lookup that refines whole stored cycles it
+names reads about 4 per doubling on ``named``.
+
 Families, each a fixed function of its size:
 
 * ``w2``: K cycles of 30 nodes, cycle k holding vn(k) at one node.
@@ -33,6 +38,8 @@ Families, each a fixed function of its size:
   node sees two labels within ``COLOR_ROUNDS`` steps, so every cycle
   gets the same colors.
 """
+
+from time import process_time
 
 import pytest
 
@@ -106,6 +113,8 @@ FAMILIES = {
 }
 # the count guards that the colors fail today, and the item removing each
 CLIFFS = {"w2": 15, "chain": 15, "collision": 3}
+# the size n of each time guard, timed at n and 2n
+DOUBLING = {"named": 480, "fold_path": 120}
 
 
 def encode_family(u, name, size):
@@ -181,3 +190,17 @@ def test_re_encoding_refines_only_its_piece_and_its_cycle(name, monkeypatch):
         u.canonicalize_all(children, refs)
         cycle = u._cycle_of(resolved[0])
         assert len(sizes) == 1 and sizes[0] <= len(children) + len(cycle)
+
+
+@pytest.mark.parametrize("name", DOUBLING)
+def test_encoding_time_less_than_triples_per_doubling(name):
+    def best(size):
+        times = []
+        for _ in range(3):
+            t0 = process_time()
+            encode_family(Universe(), name, size)
+            times.append(process_time() - t0)
+        return min(times)
+
+    n = DOUBLING[name]
+    assert best(2 * n) / best(n) < 3

@@ -475,6 +475,18 @@ def test_universe_cap():
     assert len(small) == 3
     assert small.vn(1) == 1 and small.elements(small.vn(2)) == (0, 1)
     assert len(small) == 3
+    # a cyclic piece is checked whole before any of its sets is stored;
+    # with vn(0) at node 0 the ring pictures three distinct sets
+    ring, refs = {0: [1], 1: [2], 2: [0]}, {0: [0]}
+    small = Universe(max_sets=3)
+    small.vn(0)
+    with pytest.raises(UniverseFull):
+        small.canonicalize_all(ring, refs)
+    assert len(small) == 1 and small._cycles == []
+    exact = Universe(max_sets=4)
+    exact.vn(0)
+    assert sorted(exact.canonicalize_all(ring, refs).values()) == [1, 2, 3]
+    assert len(exact) == 4 and exact._cycles == [range(1, 4)]
 
 
 def test_append_only_element_lists(u):
