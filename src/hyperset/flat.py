@@ -57,19 +57,17 @@ def solve(u: Universe, sys: FlatSystem) -> dict[str, SetId]:
     problems = validate(sys)
     if problems:
         raise ValidationError("; ".join(problems))
-    names = sys.indeterminates()
-    if not names:
+    index = {name: i for i, (name, _) in enumerate(sys.equations)}
+    if not index:
         return {}
-    index = {name: i for i, name in enumerate(names)}
-    children, refs = {}, {}
+    children, refs = {}, {}  # refs only for the equations that name atoms
     for i, (_, rhs) in enumerate(sys.equations):
         children[i] = kids = []
-        refs[i] = rs = []
         for r in rhs:
             j = index.get(r)
             if j is None:
-                rs.append(sys.atoms[r])
+                refs.setdefault(i, []).append(sys.atoms[r])
             else:
                 kids.append(j)
     solution = u.canonicalize_all(children, refs)
-    return {name: solution[i] for i, name in enumerate(names)}
+    return {name: solution[i] for name, i in index.items()}

@@ -7,8 +7,9 @@ unrelated growth of the universe.  Every reduct is one
 :class:`MultiGraph` whose ``multiplicity`` holds what it prints: 2 on
 a double edge (mutual membership between distinct sets) where the
 reduct keeps double edges, 1 on every other edge and on each loop
-(x in x).  The memberships among the numerals of a closure follow from
-their chain and are never read: a reduct's multiplicities are a
+(x in x).  One walk of the store gives the closure and the element
+tuple of each of its sets but the numerals, whose memberships follow
+from their chain and are never read: a reduct's multiplicities are a
 read-only view over the pairs it read and that chain.
 """
 
@@ -73,7 +74,8 @@ class MultiGraph:
 
 def closure(u: Universe, seeds: Iterable[SetId]) -> frozenset[SetId]:
     """Smallest element-closed vertex set containing the seeds; no numeral is read."""
-    return _walk_to_numerals(u, seeds, u.elements)[0]
+    kids, chain = _walk_to_numerals(u, seeds)
+    return frozenset(kids).union(chain)
 
 
 def undirect(u: Universe, sets: Iterable[SetId], mode: str) -> MultiGraph:
@@ -83,23 +85,21 @@ def undirect(u: Universe, sets: Iterable[SetId], mode: str) -> MultiGraph:
     multiplicity 1.  ``multi``: multiplicity 2 iff mutual membership
     between distinct sets, else 1.  ``double_only``: exactly the
     mutual-membership pairs, of multiplicity 2, and the loops.
-    One walk builds the closure and reads each membership once as it
-    goes; a pair met twice is a double edge, since elements never
-    repeat.  The walk stops at numerals, whose memberships are the
+    One walk gives the closure and the element tuple of each set in it
+    that is not a numeral; one loop over those tuples counts each
+    membership once, and a pair met twice is a double edge, since
+    elements never repeat.  The memberships of numerals are the
     chain's.  A closed set is its own closure.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    kids, chain = _walk_to_numerals(u, sets)
     mult: dict[tuple, int] = {}
-
-    def count(x: SetId):
-        elems = u.elements(x)
+    for x, elems in kids.items():
         for e in elems:
             key = (e, x) if e < x else (x, e)
             mult[key] = mult.get(key, 0) + 1
-        return elems
-
-    verts, chain = _walk_to_numerals(u, sets, count)
+    verts = frozenset(kids).union(chain)
     if mode == "loopy":
         mult = dict.fromkeys(mult, 1)
     elif mode == "double_only":  # the chain has no loop or double edge

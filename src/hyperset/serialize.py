@@ -25,12 +25,13 @@ gives a closure (any closure holding two sets orders them alike): each
 round orders the members of a block by the sorted tuple of the blocks
 their elements lie in.  The counting kernel
 :func:`hyperset.universe.refine_ranks` reproduces that order exactly
-without re-signing every set each round.  Each order walks the closure
-of the sets it is given once and stops at numerals, which are ranked in
-bulk: vn(k) holds exactly the smaller numerals, so their k²/2
-memberships are never read.  The store says which sets are numerals
-(:meth:`Universe.numeral_of`, :meth:`Universe.numerals`); how it keeps
-them is its own business.
+without re-signing every set each round.  Each order takes the closure
+of its sets from one walk of the store that checks them once and hands
+over the element tuple of every set it meets but the numerals, which
+it stops at and ranks in bulk: vn(k) holds exactly the smaller
+numerals, so their k²/2 memberships are never read.  Splitting sets by
+foundation is one store call per list, which checks them once too.
+How the store keeps its sets and numerals is its own business.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .rado import AckermannCoder
 # perfbench/spans.py patches closure on this module by name; it is
 # imported only for that.
 from .reducts import MultiGraph, closure
-from .universe import SetId, Universe, _walk_to_numerals, refine_ranks
+from .universe import SetId, Universe, _by_foundation, _walk_to_numerals, refine_ranks
 
 NU = "ν"  # ν
 
@@ -55,20 +56,21 @@ NU = "ν"  # ν
 def wf_code_index(u: Universe, roots) -> dict[SetId, int]:
     """Dense Ackermann-code-order indices of the well-founded sets in the
     closure of ``roots``; vn(k) has rank k."""
-    closed, chain = _walk_to_numerals(u, roots, u.elements)
+    kids, chain = _walk_to_numerals(u, roots)
     rank = {s: r for r, s in enumerate(chain)}
     layers = {r: [s] for s, r in rank.items()}
-    for s in sorted(s for s in closed.difference(chain) if u.is_well_founded(s)):
+    for s in _by_foundation(u, sorted(kids))[0]:
         # a well-founded set comes after its elements
-        r = rank[s] = 1 + max((rank[e] for e in u.elements(s)), default=-1)
+        r = rank[s] = 1 + max((rank[e] for e in kids[s]), default=-1)
         layers.setdefault(r, []).append(s)
 
     index: dict[SetId, int] = {}
     counter = count()
     for r in sorted(layers):
         layer = layers[r]
-        if len(layer) > 1:  # distinct sets have distinct keys
-            layer.sort(key=lambda s: sorted((index[e] for e in u.elements(s)), reverse=True))
+        if len(layer) > 1:  # distinct sets have distinct keys; vn(r) holds chain[:r]
+            layer.sort(key=lambda s: sorted((index[e] for e in kids.get(s) or chain[:r]),
+                                            reverse=True))
         for s in layer:
             index[s] = next(counter)
     return index
@@ -90,10 +92,10 @@ def structural_ranks(u: Universe, roots) -> dict[SetId, int]:
     chain is the numerals in the closure, which the walk stops at, so
     the numerals still in the last block rank in bulk.
     """
-    closed, chain = _walk_to_numerals(u, roots, u.elements)
-    ids = sorted(closed)
-    elems = {s: u.elements(s) for s in ids}
-    return refine_ranks(ids, elems, {s: bool(es) for s, es in elems.items()}, chain)
+    kids, chain = _walk_to_numerals(u, roots)
+    # refine_ranks lists no chain edge; of vn(k) it reads only that it has k
+    kids.update((c, range(k)) for k, c in enumerate(chain))
+    return refine_ranks(sorted(kids), kids, {s: bool(es) for s, es in kids.items()}, chain)
 
 
 # -- set serialization -------------------------------------------------------
@@ -162,10 +164,7 @@ def normal_form(u: Universe, named_roots) -> str:
     ranks = code_index = None
     eq_lines: list[str] = []
     for s in walk:
-        wf_children: list[SetId] = []
-        nw_children: list[SetId] = []
-        for e in u.elements(s):
-            (wf_children if u.is_well_founded(e) else nw_children).append(e)
+        wf_children, nw_children = _by_foundation(u, u.elements(s))
         if len(wf_children) > 1:
             if code_index is None:
                 code_index = wf_code_index(u, roots)
@@ -183,7 +182,7 @@ def normal_form(u: Universe, named_roots) -> str:
             if e not in atom_names:
                 atom_names[e] = fresh("a")
         rhs = [atom_names[e] for e in wf_children]
-        rhs.extend(names[e] for e in sorted(nw_children, key=name_order.__getitem__))
+        rhs += map(names.__getitem__, sorted(nw_children, key=name_order.__getitem__))
         eq_lines.append(f"{names[s]} = {{{','.join(rhs)}}}")
 
     atom_lines = [f"atom {name} = {wf_literal(u, s, code_index, numerals=True)}"
@@ -223,17 +222,18 @@ def emit_graph(u: Universe, graph: MultiGraph) -> str:
     Vertices are emitted well-founded first in code order, then
     non-well-founded in structural-rank order, and numbered from 0 in
     that order.  Labels: the Ackermann code when it fits the default
-    bound, else ``wf<i>``; non-well-founded sets are ``nu<i>``.
-    Each order walks the closure of the vertices it sorts and stops at
-    numerals, so printing a graph reads no numeral's elements.  Edges
-    print row by row: a numeral of the multiplicities' chain also meets
-    every larger one, at rising positions and multiplicity 1, since
-    vn(k) has code rank k.
+    bound, else ``wf<i>``; non-well-founded sets are ``nu<i>``.  Codes
+    rise along code order, so the coder is asked only up to the first
+    code that overflows, and every later well-founded vertex is
+    ``wf<i>``.  The vertices are checked and split by foundation in one
+    store call, and each order walks the closure of the vertices it
+    sorts and stops at numerals, so printing a graph reads no numeral's
+    elements.  Edges print row by row: a numeral of the multiplicities'
+    chain also meets every larger one, at rising positions and
+    multiplicity 1, since vn(k) has code rank k, so a row that holds
+    only that tail is a slice of it.
     """
-    wf: list[SetId] = []
-    nw: list[SetId] = []
-    for s in sorted(graph.vertices):
-        (wf if u.is_well_founded(s) else nw).append(s)
+    wf, nw = _by_foundation(u, sorted(graph.vertices))
     if len(wf) > 1:
         wf.sort(key=wf_code_index(u, wf).__getitem__)
     if len(nw) > 1:
@@ -251,27 +251,36 @@ def emit_graph(u: Universe, graph: MultiGraph) -> str:
         elif k not in (1, 2):
             raise ValidationError(f"edge {(a, b)} has multiplicity {k!r}, not 1 or 2")
         else:
-            i, j = sorted((pos[a], pos[b]))
+            i, j = pos[a], pos[b]
+            if i > j:
+                i, j = j, i
             rows.setdefault(i, []).append(2 * j + k - 1)
     tail = [2 * pos[s] for s in mult.chain]
     after = {t // 2: c + 1 for c, t in enumerate(tail)}
-    cells = [f"{j} {k}" for j in range(n) for k in (1, 2)]
+    cells = [j + k for j in map(str, range(n)) for k in (" 1", " 2")]
+    tail_cells = [cells[t] for t in tail]
 
     coder = AckermannCoder(u)
     lines = []
-    for i, s in enumerate(ordered):
-        label = f"nu{i}"
-        if i < len(wf):  # well-founded
-            try:
-                label = str(coder.code(s))
-            except DomainError:
-                label = f"wf{i}"
+    for i, s in enumerate(wf):  # codes rise along ``wf``: from the first that overflows, all do
+        try:
+            label = coder.code(s)
+        except DomainError:
+            break
         lines.append(f"v {i} {label}{' loop' if s in loops else ''}")
+    coded = len(lines)
+    lines += [f"v {i} wf{i}{' loop' if s in loops else ''}"
+              for i, s in enumerate(wf[coded:], coded)]
+    lines += [f"v {i} nu{i}{' loop' if s in loops else ''}" for i, s in enumerate(nw, len(wf))]
     for i in range(n):
-        row = rows.get(i, []) + tail[after.get(i, len(tail)):]
-        if row:
-            row.sort()
-            head = f"e {i} "
-            lines.append(head + ("\n" + head).join(map(cells.__getitem__, row)))
+        c = after.get(i, len(tail))
+        if i in rows:
+            row = map(cells.__getitem__, sorted(tail[c:] + rows[i]))
+        elif c < len(tail):
+            row = tail_cells[c:]  # in order: chain positions rise
+        else:
+            continue
+        head = f"e {i} "
+        lines.append(head + ("\n" + head).join(row))
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)

@@ -61,18 +61,50 @@ def _walk(starts: Iterable, step: Callable[..., Iterable]) -> frozenset:
     return frozenset(seen)
 
 
-def _walk_to_numerals(u: Universe, roots, elements) -> tuple[frozenset, tuple]:
-    """The closure of ``roots`` and its numerals vn(0..k), vn(k) the largest
-    met.  It reads other sets with ``elements``, and no numeral's elements."""
-    met = [-1]
+def _walk_to_numerals(u: Universe, roots) -> tuple[dict, tuple]:
+    """The closure of ``roots`` as ``(kids, chain)``: ``kids`` takes each
+    of its sets but the numerals to its stored element tuple, and
+    ``chain`` is vn(0..k), vn(k) the largest met.  The roots are checked
+    once; the walk then reads the store directly, and no numeral's
+    elements."""
+    elems, vn = u._elems, u._vn
+    stack = _checked(u, roots)
+    kids: dict = {}
+    top = -1
+    while stack:
+        s = stack.pop()
+        if s in kids:
+            continue
+        es = elems[s]
+        n = len(es)
+        if n < len(vn) and vn[n] == s:  # vn(n), whose elements are vn(0..n-1)
+            top = max(top, n)
+        else:
+            kids[s] = es
+            stack.extend(es)
+    return kids, vn[:top + 1]
 
-    def step(s):
-        n = u.numeral_of(s)  # checks the handle
-        return elements(s) if n is None else met.append(n) or ()
 
-    walked = _walk(roots, step)
-    chain = u.numerals()[:max(met) + 1]
-    return walked.union(chain), chain
+def _checked(u: Universe, sets) -> list:
+    """``sets`` as a list, every handle checked at once; one by one only
+    to name the first that fails."""
+    sets = list(sets)
+    if sets and not ({*map(type, sets)} == {int} and 0 <= min(sets) and max(sets) < len(u)):
+        for s in sets:
+            u._check(s)
+    return sets
+
+
+def _by_foundation(u: Universe, sets) -> tuple[list, list]:
+    """``sets`` split into the well-founded sets and the rest, each in the
+    order given; every handle is checked, with a call only if it fails."""
+    wf, n = u._wf, len(u._elems)
+    parts = [], []
+    for s in sets:
+        if not (type(s) is int and 0 <= s < n):
+            u._check(s)
+        parts[not wf[s]].append(s)
+    return parts
 
 
 @dataclass
@@ -388,7 +420,8 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
 def _sccs(nodes, kids):
     """Tarjan's algorithm, iterative; yields components children-first.
     A visited node is on the stack until its component is emitted, which
-    also drops its ``low`` entry: it is on the stack iff it is in ``low``."""
+    also drops its ``low`` entry: it is on the stack iff it is in ``low``.
+    A finished non-root passes its ``low`` to its parent; a start is a root."""
     index = {}
     low = {}
     stack = []
@@ -407,19 +440,19 @@ def _sccs(nodes, kids):
                     stack.append(child)
                     call.append((child, iter(kids[child])))
                     break
-                if child in low:
-                    low[node] = min(low[node], index[child])
+                if child in low and index[child] < low[node]:
+                    low[node] = index[child]
             else:
                 call.pop()
-                if call:
-                    parent = call[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
+                at = low[node]
+                if at == index[node]:
                     comp = []
                     while node in low:
                         comp.append(w := stack.pop())
                         del low[w]
                     out.append(comp)
+                elif at < low[parent := call[-1][0]]:
+                    low[parent] = at
     return out
 
 
@@ -445,13 +478,13 @@ class Universe:
         return len(self._elems)
 
     def __contains__(self, s) -> bool:
-        return isinstance(s, int) and 0 <= s < len(self._elems)
+        return type(s) is int and 0 <= s < len(self._elems)
 
     def ids(self) -> Iterator[SetId]:
         return iter(range(len(self._elems)))
 
     def _check(self, s: SetId) -> None:
-        if not (isinstance(s, int) and 0 <= s < len(self._elems)):
+        if not (type(s) is int and 0 <= s < len(self._elems)):  # a bool is no handle
             raise UnknownHandle(f"no such set handle: {s!r}")
 
     def elements(self, s: SetId) -> tuple[SetId, ...]:
@@ -641,21 +674,16 @@ class Universe:
         once; every store ref given is checked.
         """
         store_refs = store_refs or {}
-        kids = {n: set(cs) for n, cs in children.items()}  # each read once
-        problems = _shape_problems(kids, store_refs)
-        if problems:
-            raise MalformedGraph(problems[0])
-        kids = {n: sorted(kids[n]) for n in sorted(kids)}
-        refs = {n: tuple(store_refs.get(n, ())) for n in kids}
-        for rs in refs.values():
-            for r in rs:
-                self._check(r)
+        kids = {n: sorted(set(children[n])) for n in sorted(children)}  # each read once
+        if not (kids and kids.keys() >= set().union(store_refs, *kids.values())):
+            raise MalformedGraph(_shape_problems(kids, store_refs)[0])
+        refs = {n: _checked(self, rs) for n, rs in store_refs.items()}  # nodes with refs only
 
         resolved: dict[int, SetId] = {}
         for comp in _sccs(kids, kids):
             n = comp[0]
             if len(comp) == 1 and n not in kids[n]:
-                elems = set(refs[n])
+                elems = set(refs.get(n, ()))
                 elems.update(resolved[c] for c in kids[n])
                 resolved[n] = self._intern_or_append(tuple(sorted(elems)))
             else:
@@ -683,7 +711,7 @@ class Universe:
         ids = dict(zip(comp, piece))
         internal, external = {}, {}
         for n, p in ids.items():
-            inside, outside = [], [*refs[n]]
+            inside, outside = [], [*refs.get(n, ())]
             for c in kids[n]:
                 q = ids.get(c)
                 if q is None:
@@ -724,15 +752,15 @@ class Universe:
         # minted in order of their smallest picture node.
         value = {rank[s]: s for s in region}
         assert len(value) == len(region), "store was not bisimulation-minimal"
-        fresh = []
+        fresh, handle = [], {}  # handle: piece node -> the set it resolves to
         for n, p in ids.items():
             b = rank[p]
             if b not in value:
                 value[b] = base + len(fresh)
                 fresh.append(p)
-            resolved[n] = value[b]
+            resolved[n] = handle[p] = value[b]
 
         if fresh:
-            records = [tuple(sorted({*external[p], *[value[rank[c]] for c in internal[p]]}))
+            records = [tuple(sorted({*external[p], *map(handle.__getitem__, internal[p])}))
                        for p in fresh]
             self._append_cyclic_batch(records, [col[p] for p in fresh] if col else ())

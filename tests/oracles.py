@@ -6,6 +6,7 @@ the fast implementations have something honest to be compared against.
 """
 
 from collections import deque
+from contextlib import contextmanager
 import random
 import re
 
@@ -567,6 +568,51 @@ def naive_parse_set_literal(u, text):
     if kind != "eof":
         raise ParseError(f"trailing input {value!r}", line, col)
     return s
+
+
+# -- store probes -------------------------------------------------------------
+
+
+class _Sealed(tuple):
+    """A numeral's element tuple: its length may be taken, its elements
+    may not be read."""
+
+    def __iter__(self):
+        raise AssertionError("a numeral's elements were read")
+
+    def __getitem__(self, index):
+        raise AssertionError("a numeral's elements were read")
+
+
+class _ElementReads(list):
+    """A store's element tuples, logging the handle of each non-numeral
+    tuple taken from it and handing out numerals' tuples sealed."""
+
+    def __init__(self, u):
+        super().__init__(u._elems)
+        self.numerals = frozenset(u.numerals())
+        self.log = []
+
+    def __getitem__(self, s):
+        elems = super().__getitem__(s)
+        if s in self.numerals:
+            return _Sealed(elems)
+        self.log.append(s)
+        return elems
+
+
+@contextmanager
+def element_reads(u):
+    """Within the block, ``u`` reads its element tuples through a probe;
+    yields the list of handles whose tuples are taken, numerals aside,
+    and fails on any read of a numeral's elements.  The block must not
+    grow the store."""
+    elems = u._elems
+    u._elems = probe = _ElementReads(u)
+    try:
+        yield probe.log
+    finally:
+        u._elems = elems
 
 
 # -- graph output -------------------------------------------------------------

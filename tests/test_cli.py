@@ -9,9 +9,9 @@ import pytest
 
 from hyperset import cli, witnesses
 from hyperset.cli import main
-from hyperset.universe import Universe
+from hyperset.reducts import undirect
 
-from oracles import parse_graph_output
+from oracles import element_reads, parse_graph_output
 
 PAIR_TEXT = "atom a = 0\natom b = 1\nx = {y,a}\ny = {x,b}\n"
 
@@ -94,22 +94,27 @@ def test_undirect_modes(tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["loopy", "multi", "double"])
 @pytest.mark.parametrize("name", ["alias", "cycle40"])
 def test_undirect_reads_each_membership_once(capsys, monkeypatch, name, mode):
-    # serialization reads elements to order the vertices; up to it,
-    # undirect reads the elements of each closure vertex once, except
-    # that it reads no numeral's: their memberships are the chain's
-    graphs, calls = [], []
+    # undirect takes the element tuple of each closure vertex from the
+    # store once, except that it reads no numeral's: their memberships
+    # are the chain's
+    graphs, reads = [], []
+
+    def probed(u, sets, mode):
+        with element_reads(u) as read:
+            graph = undirect(u, sets, mode)
+        reads.append(read)
+        return graph
+
+    monkeypatch.setattr(cli, "undirect", probed)
     monkeypatch.setattr(cli, "emit_graph",
                         lambda u, graph: graphs.append((u, graph)) or "")
-    elements = Universe.elements
-    monkeypatch.setattr(Universe, "elements",
-                        lambda self, x: calls.append(x) or elements(self, x))
     path = GOLDEN / f"{name}.hs"
     code, _, err = run(capsys, "undirect", str(path), "--mode", mode)
     assert code == 0, err
-    ((u, graph),) = graphs
+    ((u, graph),), (read,) = graphs, reads
     numerals = {v for v in graph.vertices if u.numeral_of(v) is not None}
     assert numerals  # both files have numeral atoms
-    assert sorted(calls) == sorted(graph.vertices - numerals)
+    assert sorted(read) == sorted(graph.vertices - numerals)
 
 
 def test_undirect_of_a_large_numeral_keeps_its_chain_implicit():

@@ -40,7 +40,10 @@ a numeral, a nested and a wide literal as atoms.  With ``cycle200.solve``
 it pins the output of the path from ``flat.solve`` through the cyclic
 piece's refinement to the fresh stored cycle, the path every ``solve``
 and ``undirect`` of a system file takes; being in ``CASES``, these also
-run through the installed ``hyperset`` console script in CI.
+run through the installed ``hyperset`` console script in CI, under two
+hash seeds.  Its three graph modes pin how edge rows are built: loopy
+rows mix the numeral chain's tail with other edges, all of
+multiplicity 1, and the double-edge graph has no chain at all.
 
 Each case also runs on stores that already hold other sets, so that
 handles differ from a fresh store's: the output must not change.
@@ -81,6 +84,8 @@ CASES = {
     "cycle200.solve": ["solve", "{dir}/cycle200.hs"],
     "chord400.solve": ["solve", "{dir}/chord400.hs"],
     "chord400.multi": ["undirect", "{dir}/chord400.hs", "--mode", "multi"],
+    "chord400.loopy": ["undirect", "{dir}/chord400.hs", "--mode", "loopy"],
+    "chord400.double": ["undirect", "{dir}/chord400.hs", "--mode", "double"],
     "star5.seed30": ["star", "5", "--seed", "30"],
     "star3.seed120": ["star", "3", "--seed", "120"],
     "star4.seed250": ["star", "4", "--seed", "250"],

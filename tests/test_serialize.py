@@ -9,6 +9,7 @@ from hyperset import serialize
 from hyperset.cli import main
 from hyperset.errors import DomainError, UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
+from hyperset.rado import AckermannCoder
 from hyperset.reducts import MultiGraph, closure, undirect
 from hyperset.serialize import (
     emit_graph,
@@ -19,7 +20,7 @@ from hyperset.serialize import (
     wf_code_index,
     wf_literal,
 )
-from hyperset.sysfile import parse_system
+from hyperset.sysfile import parse_set_literal, parse_system
 from hyperset.universe import Apg, Universe
 from hyperset.witnesses import PatternGraph, component, star
 
@@ -182,6 +183,20 @@ def test_structural_ranks_walk_from_roots(u):
         wf_code_index(u, [999])
 
 
+@pytest.mark.parametrize("bad", [True, False, -1, 999, 1.5])
+def test_orders_and_graph_output_check_every_handle(u, bad):
+    # the given handles are checked all at once; the error names the
+    # first bad one, and a bool is no handle
+    two = u.vn(2)  # no bool equals it
+    size = len(u)
+    for order in (structural_ranks, wf_code_index):
+        with pytest.raises(UnknownHandle, match=f"no such set handle: {bad!r}$"):
+            order(u, [two, bad, 998])
+    with pytest.raises(UnknownHandle, match=f"no such set handle: {bad!r}$"):
+        emit_graph(u, MultiGraph(frozenset([two, bad]), {}))
+    assert len(u) == size
+
+
 def test_wf_code_index_walks_through_non_well_founded_roots():
     from hyperset.rado import AckermannCoder
     rng = random.Random(5)
@@ -274,6 +289,38 @@ def test_emit_graph_refuses_a_multiplicity_other_than_1_or_2(u):
             emit_graph(u, graph)
     graph = MultiGraph(vertices=frozenset({a, b}), multiplicity={(a, a): 2, (a, b): 2})
     assert emit_graph(u, graph) == "v 0 0 loop\nv 1 1\ne 0 1 2\n"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_labels_stop_coding_at_the_first_overflow(seed, monkeypatch):
+    # codes rise along code order, so the well-founded vertices whose
+    # code passes 2^64 are a suffix of it: emit_graph codes up to the
+    # first of them, once each, and labels the rest wf<i> uncoded
+    rng = random.Random(seed)
+    u = Universe()
+    pool = [u.vn(k) for k in range(8)] + [u.make_set([u.vn(5)])]
+    pool += [parse_set_literal(u, text) for text in ("{4}", "{4,{2}}", "{{3}}", "{{{3}}}", "{6}")]
+    for _ in range(20):
+        pool.append(u.make_set(rng.sample(pool, rng.randint(1, 3))))
+    # vn(5) overflows first; {4} codes 2^2059, below vn(5); {{3}} codes 2^2048
+    firsts = []
+    for roots in ([u.vn(7), pool[8]], rng.sample(pool, 3), rng.sample(pool, 6)):
+        graph = undirect(u, roots, "multi")
+        calls = []
+        with monkeypatch.context() as m:
+            code = AckermannCoder.code
+            m.setattr(AckermannCoder, "code", lambda self, s: calls.append(s) or code(self, s))
+            text = emit_graph(u, graph)
+        assert text == naive_emit_graph(u, graph)
+        labels = [line.split()[2] for line in text.splitlines() if line.startswith("v ")]
+        coded = [label for label in labels if label.isdigit()]
+        overflowing = [label for label in labels if label.startswith("wf")]
+        assert coded and overflowing  # the vertices straddle 2^64
+        assert labels[:len(coded)] == coded
+        assert len(calls) == len(coded) + 1
+        firsts.append(u.numeral_of(calls[-1]))
+    assert firsts[0] == 5
+    assert None in firsts  # a first overflow off the chain
 
 
 def test_emit_graph_peak_memory_per_edge(u):

@@ -464,6 +464,25 @@ def test_unknown_handles_rejected(u):
         u.make_set([17])
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_no_handle(u, flag):
+    # bool is a subclass of int, so True once passed for handle 1 and
+    # could be stored inside an element tuple
+    u.vn(3)
+    size = len(u)
+    assert flag not in u
+    with pytest.raises(UnknownHandle, match=f"no such set handle: {flag}"):
+        u.elements(flag)
+    with pytest.raises(UnknownHandle):
+        u.make_set([flag])
+    with pytest.raises(UnknownHandle):
+        u.find_set([u.vn(2), flag])
+    with pytest.raises(UnknownHandle):
+        u.canonicalize_all({0: [0]}, {0: [flag]})
+    assert len(u) == size
+    assert all(type(e) is int for s in u.ids() for e in u.elements(s))
+
+
 def test_universe_cap():
     small = Universe(max_sets=2)
     small.vn(1)
