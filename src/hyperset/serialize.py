@@ -30,7 +30,7 @@ of its sets from one walk of the store that checks them once and hands
 over the element tuple of every set it meets but the numerals, which
 it stops at and ranks in bulk: vn(k) holds exactly the smaller
 numerals, so their k²/2 memberships are never read.  Splitting sets by
-foundation is one store call per list, which checks them once too.
+foundation asks ``is_well_founded`` of each set in turn, which checks it.
 How the store keeps its sets and numerals is its own business.
 """
 
@@ -45,7 +45,7 @@ from .rado import AckermannCoder
 # perfbench/spans.py patches closure on this module by name; it is
 # imported only for that.
 from .reducts import MultiGraph, closure
-from .universe import SetId, Universe, _by_foundation, _walk_to_numerals, refine_ranks
+from .universe import SetId, Universe, _walk_to_numerals, refine_ranks
 
 NU = "ν"  # ν
 
@@ -59,8 +59,7 @@ def wf_code_index(u: Universe, roots) -> dict[SetId, int]:
     kids, chain = _walk_to_numerals(u, roots)
     rank = {s: r for r, s in enumerate(chain)}
     layers = {r: [s] for s, r in rank.items()}
-    for s in _by_foundation(u, sorted(kids))[0]:
-        # a well-founded set comes after its elements
+    for s in filter(u.is_well_founded, sorted(kids)):  # a set comes after its elements
         r = rank[s] = 1 + max((rank[e] for e in kids[s]), default=-1)
         layers.setdefault(r, []).append(s)
 
@@ -164,7 +163,9 @@ def normal_form(u: Universe, named_roots) -> str:
     ranks = code_index = None
     eq_lines: list[str] = []
     for s in walk:
-        wf_children, nw_children = _by_foundation(u, u.elements(s))
+        wf_children, nw_children = [], []
+        for e in u.elements(s):
+            (wf_children if u.is_well_founded(e) else nw_children).append(e)
         if len(wf_children) > 1:
             if code_index is None:
                 code_index = wf_code_index(u, roots)
@@ -225,15 +226,17 @@ def emit_graph(u: Universe, graph: MultiGraph) -> str:
     bound, else ``wf<i>``; non-well-founded sets are ``nu<i>``.  Codes
     rise along code order, so the coder is asked only up to the first
     code that overflows, and every later well-founded vertex is
-    ``wf<i>``.  The vertices are checked and split by foundation in one
-    store call, and each order walks the closure of the vertices it
+    ``wf<i>``.  The vertices are checked one by one as they are split by
+    foundation, and each order walks the closure of the vertices it
     sorts and stops at numerals, so printing a graph reads no numeral's
     elements.  Edges print row by row: a numeral of the multiplicities'
     chain also meets every larger one, at rising positions and
     multiplicity 1, since vn(k) has code rank k, so a row that holds
     only that tail is a slice of it.
     """
-    wf, nw = _by_foundation(u, sorted(graph.vertices))
+    wf, nw = [], []
+    for s in graph.vertices:  # each order below is total
+        (wf if u.is_well_founded(s) else nw).append(s)
     if len(wf) > 1:
         wf.sort(key=wf_code_index(u, wf).__getitem__)
     if len(nw) > 1:

@@ -65,10 +65,12 @@ def _walk_to_numerals(u: Universe, roots) -> tuple[dict, tuple]:
     """The closure of ``roots`` as ``(kids, chain)``: ``kids`` takes each
     of its sets but the numerals to its stored element tuple, and
     ``chain`` is vn(0..k), vn(k) the largest met.  The roots are checked
-    once; the walk then reads the store directly, and no numeral's
+    one by one; the walk then reads the store directly, and no numeral's
     elements."""
     elems, vn = u._elems, u._vn
-    stack = _checked(u, roots)
+    stack = list(roots)
+    for s in stack:
+        u._check(s)
     kids: dict = {}
     top = -1
     while stack:
@@ -83,28 +85,6 @@ def _walk_to_numerals(u: Universe, roots) -> tuple[dict, tuple]:
             kids[s] = es
             stack.extend(es)
     return kids, vn[:top + 1]
-
-
-def _checked(u: Universe, sets) -> list:
-    """``sets`` as a list, every handle checked at once; one by one only
-    to name the first that fails."""
-    sets = list(sets)
-    if sets and not ({*map(type, sets)} == {int} and 0 <= min(sets) and max(sets) < len(u)):
-        for s in sets:
-            u._check(s)
-    return sets
-
-
-def _by_foundation(u: Universe, sets) -> tuple[list, list]:
-    """``sets`` split into the well-founded sets and the rest, each in the
-    order given; every handle is checked, with a call only if it fails."""
-    wf, n = u._wf, len(u._elems)
-    parts = [], []
-    for s in sets:
-        if not (type(s) is int and 0 <= s < n):
-            u._check(s)
-        parts[not wf[s]].append(s)
-    return parts
 
 
 @dataclass
@@ -677,7 +657,10 @@ class Universe:
         kids = {n: sorted(set(children[n])) for n in sorted(children)}  # each read once
         if not (kids and kids.keys() >= set().union(store_refs, *kids.values())):
             raise MalformedGraph(_shape_problems(kids, store_refs)[0])
-        refs = {n: _checked(self, rs) for n, rs in store_refs.items()}  # nodes with refs only
+        refs = {n: list(rs) for n, rs in store_refs.items()}  # nodes with refs only
+        for rs in refs.values():
+            for s in rs:
+                self._check(s)
 
         resolved: dict[int, SetId] = {}
         for comp in _sccs(kids, kids):

@@ -284,6 +284,8 @@ def double_component_graph(u: Universe, members) -> MultiGraph:
     closure of ``members`` without building it; every member is checked
     to be a handle.
     """
+    if not members:
+        raise PreconditionError("members must hold at least one set")
     for m in members:
         u.elements(m)
     comp = double_component(u, members[0])

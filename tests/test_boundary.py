@@ -11,6 +11,12 @@ and in ``reducts.py``, which defines the rules the reducts, witnesses
 and games share: adjacency, loops and double edges.  Another scan
 checks that.
 
+A handle is exactly an ``int`` in ``range(len(u))``.  That rule is
+written in ``Universe.__contains__`` and ``Universe._check`` alone, and
+every other check of a handle calls them; another scan finds each test
+of a value's type against ``int`` and checks that it lies in one of the
+two.
+
 No module keeps an import it never reads, save the names that
 ``perfbench/spans.py`` patches on it to time a layer; a second scan
 checks that, against an allowlist that must shrink as those go.
@@ -57,6 +63,39 @@ def test_only_the_store_and_the_reducts_read_membership_pairs():
     paths = sorted(p for p in SRC.glob("*.py") if p.name not in ("universe.py", "reducts.py"))
     assert len(paths) > 5
     assert [hit for p in paths for hit in member_calls(p)] == []
+
+
+def int_type_tests(path: Path) -> list[tuple[str, str]]:
+    """``(scope, file:line)`` for each test of a value's type against
+    ``int``: a comparison that names both ``type`` and ``int``
+    (``type(x) is int``, ``{*map(type, xs)} == {int}``), or an
+    ``isinstance`` or ``issubclass`` call that names ``int``.  The scope
+    is the module, then each class and function around the test."""
+    hits = []
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def scan(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}"
+        if (isinstance(node, ast.Compare) and {"type", "int"} <= names(node)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass") and "int" in names(node)):
+            hits.append((scope, f"{path.name}:{node.lineno}"))
+        for child in ast.iter_child_nodes(node):
+            scan(child, scope)
+
+    scan(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return hits
+
+
+def test_only_the_store_tests_that_a_handle_is_an_int():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 5
+    hits = [hit for p in paths for hit in int_type_tests(p)]
+    assert sorted({scope for scope, _ in hits}) == [
+        "universe.Universe.__contains__", "universe.Universe._check"], hits
 
 
 # Imported only so that perfbench/spans.py can patch them by name; no

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hyperset import cli, witnesses
 from hyperset.cli import main
 from hyperset.reducts import undirect
+from hyperset.universe import Universe
 
 from oracles import element_reads, parse_graph_output
 
@@ -27,6 +29,7 @@ loop 0
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 
 def run_process(*argv):
@@ -115,6 +118,31 @@ def test_undirect_reads_each_membership_once(capsys, monkeypatch, name, mode):
     numerals = {v for v in graph.vertices if u.numeral_of(v) is not None}
     assert numerals  # both files have numeral atoms
     assert sorted(read) == sorted(graph.vertices - numerals)
+
+
+def test_undirect_asks_the_store_for_few_element_tuples_on_benchmark_files(
+        tmp_path, capsys, monkeypatch):
+    # on the 24 seed-0 cli_files inputs of the benchmark the undirect
+    # path calls Universe.elements at most 1.2 times per printed vertex:
+    # the walks read the store directly, and the calls left (159 for
+    # 6,071 vertices) are the Ackermann coder's
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look their module up
+    spec.loader.exec_module(gen)
+    files = gen.cli_corpus(0, "full")
+    assert len(files) == 24
+    calls = []
+    elements = Universe.elements
+    monkeypatch.setattr(Universe, "elements", lambda u, s: calls.append(s) or elements(u, s))
+    for k, f in enumerate(files):
+        path = tmp_path / f"sys{k:02d}.hs"
+        path.write_text(f.text, encoding="utf-8")
+        calls.clear()
+        code, out, err = run(capsys, "undirect", str(path), "--mode", "multi")
+        assert code == 0, err
+        vertices = sum(line.startswith("v ") for line in out.splitlines())
+        assert len(calls) <= 1.2 * vertices, (path.name, len(calls), vertices)
 
 
 def test_undirect_of_a_large_numeral_keeps_its_chain_implicit():

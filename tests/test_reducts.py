@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from hyperset.errors import UnknownHandle, ValidationError
+from hyperset.errors import PreconditionError, UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
 from hyperset.reducts import (
     MODES,
@@ -171,6 +171,18 @@ def test_double_component_of_membership_pair(u):
     assert double_component(u, u.vn(0)) == {u.vn(0)}
     with pytest.raises(UnknownHandle):
         double_component(u, 999)
+
+
+def test_double_component_graph_needs_a_member(u):
+    # no member names no component; the store is not read
+    with element_reads(u) as read:
+        with pytest.raises(PreconditionError, match="^members must hold at least one set$"):
+            double_component_graph(u, [])
+    assert read == []
+    x, y = membership_pair(u)
+    assert double_component_graph(u, [y, x]).vertices == {x, y}
+    with pytest.raises(UnknownHandle, match="no such set handle: 999$"):
+        double_component_graph(u, [x, 999])
 
 
 def test_double_component_matches_naive_oracle_on_random_pictures(u):

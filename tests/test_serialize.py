@@ -183,10 +183,10 @@ def test_structural_ranks_walk_from_roots(u):
         wf_code_index(u, [999])
 
 
-@pytest.mark.parametrize("bad", [True, False, -1, 999, 1.5])
+@pytest.mark.parametrize("bad", [True, False, -1, 999, 1.5, "0"])
 def test_orders_and_graph_output_check_every_handle(u, bad):
-    # the given handles are checked all at once; the error names the
-    # first bad one, and a bool is no handle
+    # the given handles are checked one by one, so the error names the
+    # first bad one; a bool is no handle, nor is a value no int compares with
     two = u.vn(2)  # no bool equals it
     size = len(u)
     for order in (structural_ranks, wf_code_index):
