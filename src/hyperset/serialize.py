@@ -29,8 +29,11 @@ without re-signing every set each round.  Each order takes the closure
 of its sets from one walk of the store that checks them once and hands
 over the element tuple of every set it meets but the numerals, which
 it stops at and ranks in bulk: vn(k) holds exactly the smaller
-numerals, so their k²/2 memberships are never read.  Splitting sets by
-foundation asks ``is_well_founded`` of each set in turn, which checks it.
+numerals, so their k²/2 memberships are never read.  The numerals
+leave the last block one per round, a few steps each, while other
+sets still split, and after that a run that no other set holds at
+once.  Splitting sets by foundation asks ``is_well_founded`` of each
+set in turn, which checks it.
 How the store keeps its sets and numerals is its own business.
 """
 
@@ -93,8 +96,8 @@ def structural_ranks(u: Universe, roots) -> dict[SetId, int]:
     """
     kids, chain = _walk_to_numerals(u, roots)
     # refine_ranks lists no chain edge; of vn(k) it reads only that it has k
-    kids.update((c, range(k)) for k, c in enumerate(chain))
-    return refine_ranks(sorted(kids), kids, {s: bool(es) for s, es in kids.items()}, chain)
+    kids.update(zip(chain, map(range, range(len(chain)))))
+    return refine_ranks(sorted(kids), kids, dict(zip(kids, map(bool, kids.values()))), chain)
 
 
 # -- set serialization -------------------------------------------------------

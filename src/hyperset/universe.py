@@ -167,11 +167,14 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
     hold a chain node below k, the last in the block of ``chain[k-1]``.
     The tail above the chain nodes just over a split gets one entry and
     joins its group as one slice, so a round costs a few steps per split
-    chain block, not one per chain parent.  A run of rounds in which the
-    tail alone splits, shedding chain nodes that no node off the chain
-    holds one at a time, is taken in one step, so the number of rounds
-    follows the chain nodes that other nodes hold, not the chain's
-    length.
+    chain block, not one per chain parent.  Once the tail holds chain
+    nodes alone, it sheds its lowest node every round, and that shed
+    takes a few steps however many other blocks split in the round.  A
+    run of rounds in which the tail alone splits, shedding chain nodes
+    that no node off the chain holds, is taken in one step.  So the chain
+    costs a few steps per round that the other blocks take to settle,
+    then one per run, and the number of rounds follows those blocks and
+    the chain nodes that other nodes hold, not the chain's length.
 
     Raises :class:`ValidationError` if a child is not a node or the
     chain breaks its contract.
@@ -213,8 +216,8 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
         """Replace block ``b`` by ``groups`` in that order, where ()
         stands for the ``rest`` members of ``b`` in no listed group.
         The largest piece keeps id ``b`` unless it has one node; returns
-        the splitter: ``b``, the piece ids, their members, and the index
-        of the largest piece."""
+        the splitter: the block's label ``lo[b]``, ``b``, the piece ids,
+        their members, and the index of the largest piece."""
         sizes = [*map(len, groups)]
         if rest:
             sizes[groups.index(())] = rest
@@ -245,7 +248,7 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
                     block_of[n] = piece
                 ids.append(piece)
             start += size
-        return b, ids, groups, big
+        return lo[b], b, ids, groups, big
 
     by_key = defaultdict(list)
     for n in preds:
@@ -259,28 +262,36 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
     t = 0
     low = {0: 0} if K > 1 else {}
 
-    while splitters or sinks:
-        # A quiet chain round: the tail c, which holds just chain[t+1:],
-        # has shed chain[t] alone and nothing else split.  While chain[t]
-        # has no parent off the chain, the next round only sheds
-        # chain[t+1] to a block of its own, so shed such a run at once,
+    held = tail = None  # held: the tail, while no splitter stands for its split
+    while splitters or sinks or held is not None:
+        # A shed: the tail, which holds just chain[t+1:], has just shed
+        # chain[t] alone.  That split keys only chain[t]'s parents off the
+        # chain, and this round the tail sheds chain[t+1] alone, whatever
+        # else splits: that is done here in a few steps, and the tail's run
+        # is never built.  If no node off the chain holds chain[t], the
+        # split keys nothing and no splitter stands for it; if nothing else
+        # split either, the rounds that follow only shed the tail's lowest
+        # node while it has no such parent, and that run is shed at once,
         # keeping two nodes in the tail so that it keeps its id.
-        c, ids = splitters[0][:2] if K - t > 3 and len(splitters) == 1 else (None, ())
-        if (ids and not sinks and low == {c: t}
-                and ids == [block_of[chain[t]], c] and ids[0] < 0
-                and len(members[c]) == K - t - 1):
-            q = 0
-            while K - t - q > 3 and not preds[chain[t + q]]:
-                q += 1
-            if q:
+        if K > 3:
+            tail = held
+            if tail is None and splitters and K - t > 3 and low.get(c := block_of[chain[-1]]) == t:
+                sp = next((sp for sp in splitters if sp[1] == c), None)
+                if (sp and sp[2] == [block_of[chain[t]], c] and sp[2][0] < 0
+                        and len(members[c]) == K - t - 1):
+                    tail = c
+                    if not preds[chain[t]]:
+                        splitters.remove(sp)
+            if tail is not None:
+                q = 1
+                if not (splitters or sinks or preds[chain[t]]) and len(low) == 1:
+                    q = [*map(bool, map(preds.__getitem__, chain[t:K - 3])), True].index(True)
                 shed = chain[t + 1:t + q + 1]
-                for i, n in enumerate(shed):
-                    block_of[n] = ~(lo[c] + i)
-                members[c].difference_update(shed)
-                lo[c] += q
-                t += q
-                low = {c: t}
-                splitters = [(c, [block_of[chain[t]], c], [[chain[t]], members[c]], 1)]
+                block_of.update(zip(shed, range(~lo[tail], ~lo[tail] - q, -1)))
+                members[tail].difference_update(shed)
+                lo[tail] += q
+                t = low[tail] = t + q
+            held = tail if tail is not None and K - t > 3 and not preds[chain[t]] else None
 
         # A parent's key is sparse: one entry per split block whose small
         # pieces it hits, in block order.  The entry's segment lists the
@@ -295,13 +306,11 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
         # never prefix one another, and keys order parents as the full
         # tuples do.  In the first round a node without children has the
         # empty tuple, which the key (-2, 0) puts below every other key.
-        if len(splitters) > 1:
-            splitters.sort(key=lambda sp: lo[sp[0]])
         entries: dict = dict.fromkeys(sinks, (-2, 0))
         sinks = []
         runs = []  # per split chain block: j, chain[j+1]'s entry, chain[j+2:]'s
-        for c, ids, groups, ic in splitters:
-            label = lo[c]
+        splitters.sort()  # by label, which no two share
+        for label, c, ids, groups, ic in splitters:
             rest = count[c]
             hits: dict = {}
             for i, g in enumerate(groups):
@@ -341,7 +350,7 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
                     entry = (1, -label, *hit, sentinel, 0)
                 entries[p] = entries[p][:-1] + entry if p in entries else entry
 
-            j = low.pop(c, None)
+            j = low.pop(c, None) if c != tail else None
             if j is not None:
                 # chain[j+1] hits the piece of chain[j] and no later block;
                 # chain[j+2:] hits it too, then the piece of chain[j+1:] if
@@ -379,7 +388,8 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
             touched.setdefault(block_of[p], {}).setdefault(es, []).append(p)
         if bulk:
             touched.setdefault(block_of[bulk[0]], {}).setdefault(tail_key, []).extend(bulk)
-        splitters = []
+        splitters = [] if tail is None or held is not None else [
+            (lo[tail], tail, [block_of[chain[t]], tail], [[chain[t]], members[tail]], 1)]
         for b, groups in touched.items():
             if b < 0:
                 continue
@@ -397,39 +407,42 @@ def refine_ranks(nodes, kids, key, chain=()) -> dict:
     return dict(zip(block_of, at))
 
 
-def _sccs(nodes, kids):
-    """Tarjan's algorithm, iterative; yields components children-first.
-    A visited node is on the stack until its component is emitted, which
-    also drops its ``low`` entry: it is on the stack iff it is in ``low``.
-    A finished non-root passes its ``low`` to its parent; a start is a root."""
-    index = {}
-    low = {}
-    stack = []
-    out = []
-    for start in nodes:
-        if start in index:
+def _sccs(kids):
+    """Tarjan's algorithm, iterative, on the nodes 0 .. len(kids) - 1;
+    yields components children-first.  A node is unvisited while its
+    ``index`` is -1.  Emitting a component sets the index of its nodes
+    to len(kids), above every ``low``, so a child on the stack is just
+    one with a lower index.  A finished non-root passes its ``low`` to
+    its parent; a start is a root."""
+    n = len(kids)
+    index, low, stack, out = [-1] * n, [0] * n, [], []
+    seen = 0
+    for start in range(n):
+        if index[start] >= 0:
             continue
         call = [(start, iter(kids[start]))]
-        index[start] = low[start] = len(index)
+        index[start] = low[start] = seen
+        seen += 1
         stack.append(start)
         while call:
             node, it = call[-1]
             for child in it:
-                if child not in index:
-                    index[child] = low[child] = len(index)
+                if index[child] < 0:
+                    index[child] = low[child] = seen
+                    seen += 1
                     stack.append(child)
                     call.append((child, iter(kids[child])))
                     break
-                if child in low and index[child] < low[node]:
+                if index[child] < low[node]:
                     low[node] = index[child]
             else:
                 call.pop()
                 at = low[node]
                 if at == index[node]:
                     comp = []
-                    while node in low:
+                    while index[node] < n:
                         comp.append(w := stack.pop())
-                        del low[w]
+                        index[w] = n
                     out.append(comp)
                 elif at < low[parent := call[-1][0]]:
                     low[parent] = at
@@ -651,27 +664,33 @@ class Universe:
         no reachability requirement applies; it is the natural primitive
         for solving systems of equations.  ``children[n]`` and ``store_refs[n]``
         are iterables of ints in any order, with repeats or not, each read
-        once; every store ref given is checked.
+        once; every store ref given is checked.  Nodes other than 0 .. n-1
+        are renumbered so, in order, once; the picture is then resolved on
+        lists.
         """
         store_refs = store_refs or {}
-        kids = {n: sorted(set(children[n])) for n in sorted(children)}  # each read once
-        if not (kids and kids.keys() >= set().union(store_refs, *kids.values())):
-            raise MalformedGraph(_shape_problems(kids, store_refs)[0])
-        refs = {n: list(rs) for n, rs in store_refs.items()}  # nodes with refs only
+        order = sorted(children)
+        at = dict(zip(order, range(len(order))))
+        kids = [sorted(set(children[n])) for n in order]  # each read once
+        if not (kids and at.keys() >= set().union(store_refs, *kids)):
+            raise MalformedGraph(_shape_problems(dict(zip(order, kids)), store_refs)[0])
+        refs = {at[n]: list(rs) for n, rs in store_refs.items()}  # nodes with refs only
+        if order[0] != 0 or order[-1] != len(order) - 1:  # else each node is its position
+            kids = [[*map(at.__getitem__, cs)] for cs in kids]
         for rs in refs.values():
             for s in rs:
                 self._check(s)
 
-        resolved: dict[int, SetId] = {}
-        for comp in _sccs(kids, kids):
+        resolved = [0] * len(kids)  # node -> its handle, children first
+        for comp in _sccs(kids):
             n = comp[0]
             if len(comp) == 1 and n not in kids[n]:
                 elems = set(refs.get(n, ()))
-                elems.update(resolved[c] for c in kids[n])
+                elems.update(map(resolved.__getitem__, kids[n]))
                 resolved[n] = self._intern_or_append(tuple(sorted(elems)))
             else:
                 self._resolve_cluster(sorted(comp), kids, refs, resolved)
-        return resolved
+        return dict(zip(order, resolved))
 
     def _resolve_cluster(self, comp, kids, refs, resolved):
         """Match one cyclic piece against the store, or mint fresh sets.
@@ -691,16 +710,13 @@ class Universe:
         elems = self._elems
         base = len(elems)
         piece = range(base, base + len(comp))  # node comp[i] is base + i
-        ids = dict(zip(comp, piece))
+        for n, p in zip(comp, piece):  # above every handle resolved so far
+            resolved[n] = p
         internal, external = {}, {}
-        for n, p in ids.items():
+        for n, p in zip(comp, piece):
             inside, outside = [], [*refs.get(n, ())]
-            for c in kids[n]:
-                q = ids.get(c)
-                if q is None:
-                    outside.append(resolved[c])
-                else:
-                    inside.append(q)
+            for h in map(resolved.__getitem__, kids[n]):
+                (inside if h >= base else outside).append(h)
             internal[p] = inside
             external[p] = tuple(sorted(set(outside)) if len(outside) > 1 else outside)
 
@@ -732,18 +748,23 @@ class Universe:
         rank = refine_ranks(kids2.keys(), kids2, consts)
 
         # A block with a stored set is that set; the other blocks are
-        # minted in order of their smallest picture node.
-        value = {rank[s]: s for s in region}
-        assert len(value) == len(region), "store was not bisimulation-minimal"
-        fresh, handle = [], {}  # handle: piece node -> the set it resolves to
-        for n, p in ids.items():
-            b = rank[p]
-            if b not in value:
-                value[b] = base + len(fresh)
-                fresh.append(p)
-            resolved[n] = handle[p] = value[b]
-
-        if fresh:
+        # minted in order of their smallest picture node.  So when no block
+        # holds two nodes or a stored set, each node is minted as the handle
+        # it stands for, its record its handles outside the piece and then
+        # those inside, both sorted.
+        if not region and len(set(rank.values())) == len(piece):
+            fresh, records = piece, [(*external[p], *internal[p]) for p in piece]
+        else:
+            value = {rank[s]: s for s in region}
+            assert len(value) == len(region), "store was not bisimulation-minimal"
+            fresh, handle = [], {}  # handle: piece node -> the set it resolves to
+            for n, p in zip(comp, piece):
+                b = rank[p]
+                if b not in value:
+                    value[b] = base + len(fresh)
+                    fresh.append(p)
+                resolved[n] = handle[p] = value[b]
             records = [tuple(sorted({*external[p], *map(handle.__getitem__, internal[p])}))
                        for p in fresh]
+        if fresh:
             self._append_cyclic_batch(records, [col[p] for p in fresh] if col else ())

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hyperset.errors import MalformedGraph, UnknownHandle, ValidationError
+from hyperset.errors import MalformedGraph, UniverseFull, UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve, validate
 from hyperset.universe import Apg, Universe
 
@@ -134,6 +134,47 @@ def test_canonicalize_all_reports_the_first_dangling_child():
     with pytest.raises(MalformedGraph) as err:
         u.canonicalize_all({0: [1, 7, 7, 5], 1: (0, 0), 2: [9]})
     assert str(err.value) == "node 0 points at unknown node 5"
+
+
+def test_canonicalize_all_takes_any_int_node_ids():
+    # sparse, negative and very large ids, children and refs read from
+    # one-shot iterables: the handles are those of the same picture with
+    # its nodes numbered 0 .. n-1 in order, and so is the store
+    rng = random.Random(9)
+    spans = [(-10, 10), (-10 ** 30, 10 ** 30), (10 ** 12, 10 ** 12 + 10 ** 6), (-50, 0)]
+    for k in range(60):
+        dense, sparse = Universe(), Universe()
+        atoms = [dense.vn(j) for j in range(5)]
+        assert [sparse.vn(j) for j in range(5)] == atoms
+        n = rng.randint(1, 20)
+        children = {i: rng.sample(range(n), rng.randint(0, min(n, 3))) for i in range(n)}
+        refs = {i: rng.sample(atoms, rng.randint(1, 2)) for i in rng.sample(range(n), n // 3)}
+        ids: set = set()
+        while len(ids) < n:
+            ids.add(rng.randrange(*spans[k % len(spans)]))
+        ids = sorted(ids)
+        got = sparse.canonicalize_all({ids[i]: iter([ids[c] for c in cs] * 2)
+                                       for i, cs in children.items()},
+                                      {ids[i]: iter(rs) for i, rs in refs.items()})
+        want = dense.canonicalize_all(children, refs)
+        assert got == {ids[i]: s for i, s in want.items()}
+        assert [*map(sparse.elements, sparse.ids())] == [*map(dense.elements, dense.ids())]
+
+
+@pytest.mark.parametrize("ids", [(0, 1, 2), (-7, 10 ** 20, 3)])
+def test_a_cap_one_short_of_a_fresh_cycle_stores_none_of_it(ids):
+    # x = {y, vn(3)}, y = {z}, z = {x}: three fresh sets on four stored
+    a, b, c = ids
+    for cap, fits in ((6, False), (7, True)):
+        u = Universe(max_sets=cap)
+        three = u.vn(3)
+        picture = {a: [b], b: [c], c: [a]}
+        if fits:
+            assert sorted(u.canonicalize_all(picture, {a: [three]}).values()) == [4, 5, 6]
+        else:
+            with pytest.raises(UniverseFull):
+                u.canonicalize_all(picture, {a: [three]})
+            assert len(u) == 4
 
 
 def test_empty_system(u):

@@ -177,7 +177,7 @@ class StoreMachine(RuleBasedStateMachine):
         store that lie on a membership cycle, in handle order."""
         u = self.u
         kids = {s: u.elements(s) for s in u.ids()}
-        pieces = [sorted(c) for c in _sccs(kids, kids)
+        pieces = [sorted(c) for c in _sccs(kids)
                   if len(c) > 1 or c[0] in kids[c[0]]]
         assert sorted(pieces) == [list(c) for c in u._cycles]
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hyperset import universe
 from hyperset.errors import MalformedGraph, UniverseFull, UnknownHandle, ValidationError
 from hyperset.flat import FlatSystem, solve
+from hyperset.reducts import closure
+from hyperset.serialize import structural_ranks
 from hyperset.sysfile import parse_set_literal, parse_system
 from hyperset.universe import Apg, Universe, refine_ranks
 
@@ -18,6 +20,7 @@ from oracles import (
     distinct_pairs_bisimilar,
     naive_numerals,
     naive_refine_ranks,
+    naive_structural_ranks,
     picture_of,
     random_apg,
 )
@@ -862,6 +865,69 @@ def test_refine_ranks_scale_on_a_long_chorded_cycle():
     got = refine_ranks(kids, kids, key)
     assert time.perf_counter() - start < 1
     assert sorted(got.values()) == list(range(n))
+
+
+def numeral_cycle(rng: random.Random, n: int, big: int):
+    """A store holding a chorded n-cycle shaped like the benchmark's
+    system files, and the cycle's handles.  One node holds vn(big), and
+    one to three nodes a small numeral, a singleton numeral {vn(k)} or a
+    wide atom {{vn(0)}, ..., {vn(k-1)}}, so that some low numerals have
+    parents off the chain and the rest do not."""
+    u = Universe()
+    kids = chorded_cycle(rng, n, max(1, n // 8))
+    refs = {rng.randrange(n): {u.vn(big)}}
+    for _ in range(rng.randint(1, 3)):
+        kind, k = rng.randrange(3), rng.randint(0, 30)
+        atom = (u.vn(k % 13) if kind == 0 else u.make_set([u.vn(k)]) if kind == 1
+                else u.make_set(u.make_set([u.vn(j)]) for j in range(k)))
+        refs.setdefault(rng.randrange(n), set()).add(atom)
+    return u, list(u.canonicalize_all(kids, refs).values())
+
+
+def test_chain_sheds_match_naive_while_a_cycle_splits():
+    # the chain's tail sheds a numeral per round while the cycle still
+    # splits, whether other sets hold that numeral or not, and vn(big)
+    # outlasts the cycle's splits in some; a copy x of a chain node, with
+    # a parent on the cycle, leaves the tail with it in a busy round
+    rng = random.Random(41)
+    for n, big in [(20, 0), (120, 1), (40, 12), (20, 60), (90, 30), (60, 150),
+                   (30, 100), (120, 90), (50, 45), (80, 120)]:
+        u, roots = numeral_cycle(rng, n, big)
+        vertices = closure(u, roots)
+        assert structural_ranks(u, roots) == naive_structural_ranks(u, vertices)
+        chain = tuple(s for s in u.numerals() if s in vertices)
+        kids = {s: list(u.elements(s)) for s in vertices}
+        x, y = len(u), len(u) + 1
+        kids[x] = list(chain[:rng.randrange(min(len(chain), 12))])
+        kids[y] = [x, rng.choice(roots)]
+        key = {s: bool(cs) for s, cs in kids.items()}
+        assert refine_ranks(sorted(kids), kids, key, chain) == naive_refine_ranks(kids, kids, key)
+
+
+def test_a_large_numeral_adds_little_while_a_cycle_splits():
+    # vn(120) on a 200-node cycle sheds about 25 numerals in rounds in
+    # which the cycle still splits; when each of them took a generic split
+    # of the chain's tail, ranking this closure took 1.55-1.7 times as long
+    # as with vn(1) on Pythons 3.10-3.13, and 1.1-1.3 once such a shed
+    # takes a few steps (the numerals' set-up stays).  The ratio of the
+    # best of 5 in process time, the two alternating; a slow spell on a
+    # shared machine gets two more tries
+    def held(k):
+        u = Universe()
+        kids = chorded_cycle(random.Random(1), 200, 50)
+        return u, list(u.canonicalize_all(kids, {0: [u.vn(k)]}).values())
+
+    def ratio():
+        best = [float("inf")] * 2
+        for _ in range(5):
+            for i, (u, roots) in enumerate(pictures):
+                start = time.process_time()
+                structural_ranks(u, roots)
+                best[i] = min(best[i], time.process_time() - start)
+        return best[1] / best[0]
+
+    pictures = [held(1), held(120)]
+    assert min(ratio() for _ in range(3)) < 1.4
 
 
 @st.composite
